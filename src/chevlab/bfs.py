@@ -1,72 +1,159 @@
-"""Layered breadth-first closure engine for matrix groups.
+"""Layered breadth-first closure engine for matrix groups over GF(q).
 
-Two code paths with identical, deterministic semantics:
-  * a numpy fast path for prime fields with p < 256 (matrices become uint8
-    byte-string keys; layer products are batched matrix multiplications);
-  * a pure-python fallback for extension fields or large p (tuple keys).
+One engine serves every field.  Matrices are int64 arrays of field encodings
+(see gf.py), and one layer step, shared by `closure` and `orbit_closure`:
+  * forms the layer's products with one batched field product (`mul`);
+  * packs each N x N matrix into one sortable key (`pack`): the base-q
+    integer of its entries when q^(N*N) < 2^63, else a fixed-width np.void
+    view of its bytes;
+  * sorts the keys to drop repeats, keeping each key's first occurrence,
+    tests the rest against the sorted visited keys with np.searchsorted, and
+    merges the new keys into them.
 
-Insertion order is generator-major then frontier-order, fixed by the input
-generator list, so depth tables and ball series are schedule-independent.
+Kept rows stay in first-occurrence order, which is generator-major then
+frontier order, fixed by the input generator list, so element order, depths
+and ball series are schedule-independent.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import linalg
 from .errors import BallCapExceeded
+from .linalg import inv
 
 
 class Ball:
-    """The result of a layered closure: depth table, ball series, elements."""
+    """The result of a layered closure: elements in BFS order, layer offsets
+    and the ball series."""
 
-    def __init__(self, F, N, depths, sizes, saturated_at, elements, use_numpy):
+    def __init__(self, F, N, layers, sizes, saturated_at):
         self.F = F
         self.N = N
-        self.depths = depths          # key -> word length
-        self.sizes = sizes            # sizes[t-1] = |A^t|
+        self.elements = np.concatenate(layers)   # (M, N, N) int64, BFS order
+        # layer t (word length t) is elements[offsets[t]:offsets[t + 1]]
+        self.offsets = np.cumsum([0] + [len(x) for x in layers])
+        self.sizes = sizes                        # sizes[t-1] = |A^t|
         self.saturated_at = saturated_at
-        self.elements = elements      # BFS order; np.int64 (M,N,N) or list of tuples
-        self.use_numpy = use_numpy
+        self._index = None
 
     def __len__(self):
-        return len(self.depths)
+        return len(self.elements)
+
+    def layer(self, t):
+        return self.elements[self.offsets[t]:self.offsets[t + 1]]
+
+    def depth_array(self):
+        """Word length of each element, in BFS order."""
+        return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
 
     def key_of(self, mat):
-        if self.use_numpy:
-            return bytes(bytearray(x % self.F.p for x in mat))
-        return tuple(mat)
-
-    def __contains__(self, mat):
-        return self.key_of(mat) in self.depths
+        return key_of(self.F, mat)
 
     def depth_of(self, mat):
-        return self.depths.get(self.key_of(mat))
+        if self._index is None:
+            keys = pack(self.F, self.N, self.elements)
+            order = np.argsort(keys)
+            self._index = keys[order], order
+        keys, order = self._index
+        key = self.key_of(mat)
+        i = np.searchsorted(keys, key)
+        if i == len(keys) or keys[i] != key:
+            return None
+        return int(np.searchsorted(self.offsets, order[i], side="right")) - 1
 
     def mats(self):
-        """Iterate elements as flat tuples in BFS order."""
-        if self.use_numpy:
-            N = self.N
-            for m in self.elements.reshape(-1, N * N):
-                yield tuple(int(x) for x in m)
-        else:
-            for m in self.elements:
-                yield m
-
-    def mat_array(self):
-        """Elements as an (M, N, N) int64 array (numpy path only)."""
-        return self.elements
+        """Iterate elements as flat tuples of ints in BFS order."""
+        flat = self.elements.reshape(len(self), -1)
+        for start in range(0, len(flat), 4096):
+            yield from map(tuple, flat[start:start + 4096].tolist())
 
 
-def _can_use_numpy(F):
-    return F.e == 1 and F.p < 256
+def as_array(F, N, mats):
+    """Flat matrices as an (M, N, N) int64 array of encodings."""
+    arr = np.array(mats, dtype=np.int64).reshape(-1, N, N)
+    return arr % F.p if F.e == 1 else arr
+
+
+def _digits(F, a):
+    """The F_p coordinates of encodings, on a new last axis (low degree first)."""
+    return a[..., None] // F.p ** np.arange(F.e) % F.p
+
+
+def _regular(F, gens):
+    """Each (N, N) matrix over GF(p^e) as the (N e, N e) matrix over F_p of
+    its action on coordinate rows: entry y becomes the block of x -> x*y."""
+    p, e, N = F.p, F.e, gens.shape[-1]
+    rows = [_digits(F, gens)]           # rows[d][..., k, j, :] = t^d * y_kj
+    red = -np.array(F.modulus[:e], dtype=np.int64) % p   # t^e = sum red_i t^i
+    for _ in range(e - 1):
+        last = rows[-1]
+        rows.append((np.concatenate([np.zeros_like(last[..., :1]), last[..., :-1]], -1)
+                     + last[..., -1:] * red) % p)
+    rep = np.swapaxes(np.stack(rows, -2), -3, -2)
+    return rep.reshape(len(gens), N * e, N * e)
+
+
+def mul(F, X, gens):
+    """The field products X @ g for every g in the (G, N, N) array gens, as
+    one array of shape (G,) + X.shape."""
+    p, e, N = F.p, F.e, X.shape[-1]
+    shape = (len(gens),) + X.shape
+    if e > 1:
+        gens = _regular(F, gens)
+        X = _digits(F, X)
+    rows = X.reshape(-1, N * e)
+    out = np.empty((len(gens),) + rows.shape, dtype=np.int64)
+    for g, o in zip(gens, out):
+        np.matmul(rows, g, out=o)
+    out %= p
+    if e > 1:
+        out = out.reshape(shape + (e,)) @ p ** np.arange(e)
+    return out.reshape(shape)
+
+
+def lmul(F, g, X):
+    """The field product g @ X for one (N, N) matrix g, as (X^T g^T)^T."""
+    T = lambda A: np.swapaxes(A, -1, -2)
+    return T(mul(F, T(X), T(g)[None])[0])
+
+
+def pack(F, N, X):
+    """One sortable key per matrix of the (M, N, N) array X."""
+    flat = X.reshape(len(X), N * N)
+    if F.q ** (N * N) < 1 << 63:
+        return flat @ F.q ** np.arange(N * N - 1, -1, -1, dtype=np.int64)
+    dt = np.dtype(np.uint8 if F.q <= 1 << 8 else np.uint16 if F.q <= 1 << 16 else np.uint32)
+    raw = np.ascontiguousarray(flat, dtype=dt)
+    return raw.view(np.dtype((np.void, N * N * dt.itemsize))).ravel()
 
 
 def key_of(F, mat):
-    """The canonical hash key for a flat matrix, matching Ball.key_of."""
-    if _can_use_numpy(F):
-        return bytes(bytearray(x % F.p for x in mat))
-    return tuple(mat)
+    """The key of one flat matrix, as `pack` makes it."""
+    N = math.isqrt(len(mat))
+    return pack(F, N, as_array(F, N, mat))[0]
+
+
+def keys_of(F, N, mats):
+    """The sorted distinct keys of a collection of flat matrices."""
+    return np.unique(pack(F, N, as_array(F, N, mats)))
+
+
+def _step(F, N, prods, visited):
+    """The products not yet visited, first occurrence first, and the visited
+    keys with theirs merged in."""
+    prods = prods.reshape(-1, N, N)
+    keys = pack(F, N, prods)
+    # np.unique(return_index=True) sorts stably: three times slower than this
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys, first = keys[starts], np.minimum.reduceat(order, starts)
+    pos = np.searchsorted(visited, keys)
+    new = visited[np.minimum(pos, len(visited) - 1)] != keys
+    return prods[np.sort(first[new])], np.insert(visited, pos[new], keys[new])
 
 
 def closure(F, N, gens, cap=10 ** 7, t_max=None):
@@ -77,128 +164,38 @@ def closure(F, N, gens, cap=10 ** 7, t_max=None):
     sizes are cumulative (gens should contain the identity for |A^t| to mean
     the t-ball of A literally).
     """
-    if _can_use_numpy(F):
-        return _closure_numpy(F, N, gens, cap, t_max)
-    return _closure_python(F, N, gens, cap, t_max)
-
-
-def _closure_numpy(F, N, gens, cap, t_max):
-    p = F.p
-    stride = N * N
-    gen_arr = np.array([np.array(g, dtype=np.int64).reshape(N, N) % p
-                        for g in gens])
-    ident = np.eye(N, dtype=np.int64)
-    depths = {ident.astype(np.uint8).tobytes(): 0}
-    chunks = [ident.reshape(1, N, N)]
-    frontier = chunks[0]
+    gens = as_array(F, N, gens)
+    frontier = np.eye(N, dtype=np.int64)[None]
+    visited = pack(F, N, frontier)
+    layers = [frontier]
     sizes = []
     saturated_at = None
     t = 0
     while True:
         t += 1
-        prods = np.concatenate([frontier @ g % p for g in gen_arr], axis=0)
-        rows = prods.reshape(-1, stride).astype(np.uint8)
-        data = rows.tobytes()
-        new_idx = []
-        pos = 0
-        for i in range(rows.shape[0]):
-            key = data[pos:pos + stride]
-            pos += stride
-            if key not in depths:
-                depths[key] = t
-                new_idx.append(i)
-        if not new_idx:
+        frontier, visited = _step(F, N, mul(F, frontier, gens), visited)
+        sizes.append(len(visited))
+        if not len(frontier):
             saturated_at = t - 1
-            if sizes:
-                sizes.append(sizes[-1])
-            else:
-                sizes.append(len(depths))
             break
-        frontier = prods[new_idx]
-        chunks.append(frontier)
-        sizes.append(len(depths))
-        if len(depths) > cap:
+        layers.append(frontier)
+        if len(visited) > cap:
             raise BallCapExceeded("closure exceeded cap {}".format(cap))
         if t_max is not None and t >= t_max:
             break
-    elements = np.concatenate(chunks, axis=0)
-    return Ball(F, N, depths, sizes, saturated_at, elements, True)
-
-
-def _closure_python(F, N, gens, cap, t_max):
-    gens = [tuple(g) for g in gens]
-    ident = linalg.identity(N)
-    depths = {ident: 0}
-    elements = [ident]
-    frontier = [ident]
-    sizes = []
-    saturated_at = None
-    t = 0
-    while True:
-        t += 1
-        new = []
-        for g in gens:
-            for x in frontier:
-                prod = linalg.mat_mul(F, N, x, g)
-                if prod not in depths:
-                    depths[prod] = t
-                    new.append(prod)
-        if not new:
-            saturated_at = t - 1
-            sizes.append(len(depths))
-            break
-        frontier = new
-        elements.extend(new)
-        sizes.append(len(depths))
-        if len(depths) > cap:
-            raise BallCapExceeded("closure exceeded cap {}".format(cap))
-        if t_max is not None and t >= t_max:
-            break
-    return Ball(F, N, depths, sizes, saturated_at, elements, False)
+    return Ball(F, N, layers, sizes, saturated_at)
 
 
 def orbit_closure(F, N, gens, start, cap=10 ** 7):
-    """Orbit of `start` under conjugation x -> g x g^-1 by the generators."""
-    if _can_use_numpy(F):
-        p = F.p
-        stride = N * N
-        garr = [np.array(g, dtype=np.int64).reshape(N, N) % p for g in gens]
-        giarr = [np.array(linalg.inv(F, N, tuple(g)), dtype=np.int64).reshape(N, N) % p
-                 for g in gens]
-        s = np.array(start, dtype=np.int64).reshape(1, N, N) % p
-        seen = {s.astype(np.uint8).tobytes()}
-        frontier = s
-        total = 1
-        while frontier.shape[0]:
-            prods = np.concatenate(
-                [g @ frontier @ gi % p for g, gi in zip(garr, giarr)], axis=0)
-            rows = prods.reshape(-1, stride).astype(np.uint8)
-            data = rows.tobytes()
-            new_idx = []
-            pos = 0
-            for i in range(rows.shape[0]):
-                key = data[pos:pos + stride]
-                pos += stride
-                if key not in seen:
-                    seen.add(key)
-                    new_idx.append(i)
-            frontier = prods[new_idx]
-            total += len(new_idx)
-            if total > cap:
-                raise BallCapExceeded("orbit exceeded cap {}".format(cap))
-        return seen
-    seen = {tuple(start)}
-    frontier = [tuple(start)]
-    ginvs = [linalg.inv(F, N, tuple(g)) for g in gens]
-    while frontier:
-        new = []
-        for g, gi in zip(gens, ginvs):
-            for x in frontier:
-                y = linalg.mat_mul(F, N, linalg.mat_mul(F, N, g, x), gi)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-        if len(seen) > cap:
-            raise BallCapExceeded("orbit exceeded cap")
-    return seen
+    """Orbit of `start` under conjugation x -> g x g^-1 by the generators,
+    as the sorted array of its keys."""
+    garr = as_array(F, N, gens)
+    giarr = as_array(F, N, [inv(F, N, tuple(g)) for g in gens])
+    frontier = as_array(F, N, start)
+    visited = pack(F, N, frontier)
+    while len(frontier):
+        prods = np.stack([lmul(F, g, x) for g, x in zip(garr, mul(F, frontier, giarr))])
+        frontier, visited = _step(F, N, prods, visited)
+        if len(visited) > cap:
+            raise BallCapExceeded("orbit exceeded cap {}".format(cap))
+    return visited

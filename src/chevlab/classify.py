@@ -188,23 +188,15 @@ def is_regular_semisimple(F, N, mat, crosscheck=False):
 
 def centralizer(F, N, g, universe):
     """Exact centralizer of g inside a materialized Ball universe."""
-    if universe.use_numpy:
-        import numpy as np
-        p = F.p
-        E = universe.mat_array()
-        gm = np.array(g, dtype=np.int64).reshape(N, N) % p
-        mask = ((gm @ E) % p == (E @ gm) % p).all(axis=(1, 2))
-        picked = E[mask].reshape(-1, N * N)
-        return [tuple(int(x) for x in row) for row in picked]
-    out = []
-    for x in universe.mats():
-        if linalg.mat_mul(F, N, g, x) == linalg.mat_mul(F, N, x, g):
-            out.append(x)
-    return out
+    E = universe.elements
+    gm = bfs.as_array(F, N, g)
+    mask = (bfs.mul(F, E, gm)[0] == bfs.lmul(F, gm[0], E)).all(axis=(1, 2))
+    return [tuple(row) for row in E[mask].reshape(-1, N * N).tolist()]
 
 
 def conjugacy_class(F, N, g, gens, cap=10 ** 7):
-    """Orbit of g under conjugation by the generating set, as a key set."""
+    """Orbit of g under conjugation by the generating set, as the sorted
+    array of its keys (bfs.pack)."""
     return bfs.orbit_closure(F, N, gens, g, cap=cap)
 
 

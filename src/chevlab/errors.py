@@ -118,6 +118,10 @@ class NotGenerating(ArtifactError):
     pass
 
 
+class SamplerStalled(ArtifactError):
+    """A random sampler stopped finding new elements."""
+
+
 class HypothesisFailed(HypothesisError):
     pass
 

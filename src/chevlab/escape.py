@@ -97,15 +97,16 @@ class EscapeCertificate:
 
 def _ball_by_depth(F, N, gens, cap):
     ball = bfs.closure(F, N, gens, cap=cap)
-    by_depth = {}
-    for mat in ball.mats():
-        by_depth.setdefault(ball.depths[ball.key_of(mat)], []).append(mat)
+    by_depth = {t: [tuple(m) for m in ball.layer(t).reshape(-1, N * N).tolist()]
+                for t in range(len(ball.offsets) - 1)}
     return ball, by_depth
 
 
-def verify_orbit_noncontainment(inst, cap=10 ** 6):
-    """Exhaustively check that the orbit of the point leaves the variety."""
-    ball, _ = _ball_by_depth(inst.F, inst.N, inst.generators, cap)
+def verify_orbit_noncontainment(inst, cap=10 ** 6, ball=None):
+    """Exhaustively check that the orbit of the point leaves the variety.
+    `ball`, when given, is the closure of the generators already built."""
+    if ball is None:
+        ball = bfs.closure(inst.F, inst.N, inst.generators, cap=cap)
     if ball.saturated_at is None:
         return False  # closure truncated; cannot verify
     for g in ball.mats():
@@ -120,7 +121,7 @@ def escape_point(inst, cap=10 ** 6, verify_orbit=True):
     F, N = inst.F, inst.N
     ball, by_depth = _ball_by_depth(F, N, inst.generators, cap)
     bound = escape_bound(inst.variety.declared_dim, inst.variety.declared_deg)
-    verified = verify_orbit_noncontainment(inst, cap=cap) if verify_orbit else None
+    verified = verify_orbit_noncontainment(inst, ball=ball) if verify_orbit else None
     for k in sorted(by_depth):
         escapers = [g for g in by_depth[k]
                     if not inst.variety.contains(inst.act(g))]

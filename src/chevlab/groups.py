@@ -89,10 +89,6 @@ class GroupSpec:
         return base
 
 
-def group_params(family, n):
-    return GroupSpec(family, n)
-
-
 def omega(n):
     """The standard symplectic form ((0, Id_n), (-Id_n, 0)) as a flat tuple.
 
@@ -228,12 +224,6 @@ def group_order(spec, q):
     for i in range(1, r + 1):
         prod *= q ** (2 * i) - 1
     return prod
-
-
-def lie_algebra_count(spec, q):
-    """|g(F_q)| = q^dim (char > 2)."""
-    _require_odd_char(q)
-    return q ** spec.dim
 
 
 def cayley_map(spec, F, mat, direction="to_group"):
@@ -461,21 +451,34 @@ def hypotheses_ok(spec, q, theorem):
 
 # --- generators and random elements ---
 
-def _transvection(F, N, i, j, c):
+def _transvection(N, i, j, c):
+    """The identity plus the field encoding c at (i, j)."""
     mat = list(linalg.identity(N))
-    mat[i * N + j] = F.from_int(c)
+    mat[i * N + j] = c
     return tuple(mat)
 
 
+def _basis_params(F):
+    """Transvection parameters +-x^k for the F_p-basis 1, x, ..., x^(e-1) of
+    F_q; over a prime field just +-1."""
+    out = []
+    for k in range(F.e):
+        out += [F.p ** k, F.neg(F.p ** k)]
+    return out
+
+
 def standard_generators(spec, F):
-    """A small symmetric generating set with identity, as flat matrices."""
+    """A small symmetric generating set with identity, as flat matrices:
+    transvections with the parameters +-x^k of _basis_params, so that it
+    generates G(F_q) and not only G(F_p)."""
     N = spec.N
+    params = _basis_params(F)
     if spec.family == "SL":
         gens = [linalg.identity(N)]
         for i in range(N - 1):
             for (a, b) in ((i, i + 1), (i + 1, i)):
-                gens.append(_transvection(F, N, a, b, 1))
-                gens.append(_transvection(F, N, a, b, -1))
+                for c in params:
+                    gens.append(_transvection(N, a, b, c))
         return _dedup(gens)
     if spec.family == "Sp":
         # symplectic transvections x -> x + c <x, v> v over a spanning set of v
@@ -500,9 +503,8 @@ def standard_generators(spec, F):
                 for k in range(N):
                     acc = F.add(acc, F.mul(F.from_int(v[k]), om[k * N + jcol]))
                 ov[jcol] = acc
-            for c in (1, -1):
+            for ce in params:
                 mat = list(linalg.identity(N))
-                ce = F.from_int(c)
                 for irow in range(N):
                     if v[irow]:
                         for jcol in range(N):
@@ -575,7 +577,7 @@ def random_group_element(spec, F, rng):
             if j >= i:
                 j += 1
             c = rng.randrange(1, F.q)
-            mat = linalg.mat_mul(F, N, mat, _transvection(F, N, i, j, c))
+            mat = linalg.mat_mul(F, N, mat, _transvection(N, i, j, c))
         return mat
     ident = linalg.identity(N)
     while True:

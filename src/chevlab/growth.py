@@ -7,15 +7,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import bfs, classify, constants, groups, linalg
 from .errors import (
     GroupTooLarge,
     HypothesisFailed,
     NotGenerating,
+    SamplerStalled,
     TheoremViolation,
 )
 from .gf import factor_prime_power
 from .logscaled import LogScaled
+
+STALL_DRAWS = 64  # per wanted element, before random_subset gives up
 
 
 class GenSet:
@@ -47,10 +52,22 @@ class GenSet:
     @staticmethod
     def random_subset(spec, F, s, rng):
         """Sample s certified elements plus the identity, no symmetry closure
-        (the tripling theorem does not require symmetry)."""
+        (the tripling theorem does not require symmetry).  Raises
+        SamplerStalled after STALL_DRAWS * (s + 1) draws in a row that bring
+        nothing new."""
+        order = groups.group_order(spec, F.q)
+        if s + 1 > order:
+            raise ValueError("a subset of {} elements plus the identity does not "
+                             "fit in a group of order {}".format(s, order))
         pool = {linalg.identity(spec.N)}
+        misses = 0
         while len(pool) < s + 1:
+            before = len(pool)
             pool.add(groups.random_group_element(spec, F, rng))
+            misses = misses + 1 if len(pool) == before else 0
+            if misses >= STALL_DRAWS * (s + 1):
+                raise SamplerStalled("{} draws in a row found no new element; "
+                                     "have {} of {}".format(misses, len(pool), s + 1))
         out = [linalg.identity(spec.N)]
         out.extend(sorted(pool - {linalg.identity(spec.N)}))
         return GenSet(spec, F, out, check=False)
@@ -217,10 +234,8 @@ def np_check(A, cap=10 ** 7):
 
 
 def _target_membership(A, target, cap):
-    """Return (key_set or predicate, dim_V, label) for an intersection target.
-
-    Key sets use the same canonical keys as the BFS depth tables.
-    """
+    """Return (sorted key array or predicate, dim_V, label) for an
+    intersection target.  Keys are those of bfs.pack, as Ball.key_of makes."""
     spec, F = A.spec, A.F
     N = spec.N
     kind = target[0]
@@ -235,11 +250,18 @@ def _target_membership(A, target, cap):
             pts = [m for m in pts
                    if not classify.is_regular_semisimple(F, N, m)]
         dim_v = spec.r if not eta else spec.r - 1
-        return {bfs.key_of(F, m) for m in pts}, dim_v, kind
+        return bfs.keys_of(F, N, pts), dim_v, kind
     if kind == "nonrs":
         return (lambda m: not classify.is_regular_semisimple(F, N, m)), \
             spec.dim - 1, "nonrs"
     raise ValueError("unknown target {!r}".format(target))
+
+
+def _hits(ball, membership):
+    """Mask over the ball's elements (BFS order) of those on the target."""
+    if callable(membership):
+        return np.fromiter(map(membership, ball.mats()), dtype=bool, count=len(ball))
+    return np.isin(bfs.pack(ball.F, ball.N, ball.elements), membership)
 
 
 def intersect_count(A, t, target, cap=10 ** 7):
@@ -248,15 +270,7 @@ def intersect_count(A, t, target, cap=10 ** 7):
     spec, F = A.spec, A.F
     ball = bfs.closure(F, spec.N, A.mats, cap=cap, t_max=t)
     membership, dim_v, label = _target_membership(A, target, cap)
-    count = 0
-    for mat in ball.mats():
-        if ball.depths[ball.key_of(mat)] > t:
-            continue
-        if callable(membership):
-            if membership(mat):
-                count += 1
-        elif ball.key_of(mat) in membership:
-            count += 1
+    count = int((_hits(ball, membership) & (ball.depth_array() <= t)).sum())
     ball_size = ball.sizes[min(t, len(ball.sizes)) - 1]
     r = spec.r
     if label in ("torus", "torus_nonrs") and r >= 2:
@@ -333,21 +347,10 @@ def series_csv(A, t_max, target=None, cap=10 ** 7):
         membership, _, _ = _target_membership(A, target, cap)
     lines = ["t,ball_size,target_count"]
     sizes = ball.sizes
-    counts = {}
     if membership is not None:
-        for mat in ball.mats():
-            d = ball.depths[ball.key_of(mat)]
-            if callable(membership):
-                hit = membership(mat)
-            else:
-                hit = ball.key_of(mat) in membership
-            if hit:
-                counts[d] = counts.get(d, 0) + 1
+        depths = ball.depth_array()[_hits(ball, membership)]
     for t in range(1, t_max + 1):
         size = sizes[t - 1] if t - 1 < len(sizes) else sizes[-1]
-        if membership is None:
-            tc = ""
-        else:
-            tc = sum(c for d, c in counts.items() if d <= t)
+        tc = "" if membership is None else int((depths <= t).sum())
         lines.append("{},{},{}".format(t, size, tc))
     return "\n".join(lines) + "\n"

@@ -50,10 +50,6 @@ def mat_neg(F, a):
     return tuple(F.neg(x) for x in a)
 
 
-def scalar_mul(F, c, a):
-    return tuple(F.mul(c, x) for x in a)
-
-
 def transpose(n, a):
     return tuple(a[j * n + i] for i in range(n) for j in range(n))
 
@@ -193,13 +189,6 @@ def mat_parse(F, n, text):
         raise ShapeMismatch("expected {} entries, got {}".format(n * n, len(parts)))
     return tuple(F.parse(part) for part in parts)
 
-
-def from_rows(rows):
-    """Flatten a list of row lists into the canonical flat tuple."""
-    out = []
-    for row in rows:
-        out.extend(row)
-    return tuple(out)
 
 
 def to_rows(n, mat):

@@ -101,6 +101,13 @@ def test_exit_code_hypothesis(capsys):
     assert cli.run(["constants", "--which", "torus", "--r", "1"]) == 4
 
 
+def test_subset_larger_than_group_is_usage_error(capsys):
+    code = cli.run(["growth", "--group", "SL", "--n", "2", "--q", "7",
+                    "--gens", "subset", "--size", "400", "--t-max", "2"])
+    assert code == 2
+    assert "order 336" in capsys.readouterr().err
+
+
 def test_byte_identical_reports(capsys):
     argv = ["torus-cert", "--group", "Sp", "--n", "2", "--q", "7",
             "--eta", "0,1", "--seed", "9"]

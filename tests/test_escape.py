@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chevlab import escape, gf, groups, varieties
+from chevlab import bfs, escape, gf, groups, varieties
 from chevlab.errors import NoEscapeWithinBall
 
 
@@ -134,3 +134,13 @@ def test_find_regular_semisimple():
     cert = escape.find_regular_semisimple(F, spec, gens)
     assert classify.is_regular_semisimple(F, 2, cert.witness)
     assert cert.k_found <= 2  # short witness in SL_2(F_7)
+
+
+def test_escape_point_closes_the_ball_once(monkeypatch):
+    inst, _ = _sl2_instance(7, "x1-1", (1, 0, 0, 1))
+    calls = []
+    closure = bfs.closure
+    monkeypatch.setattr(bfs, "closure", lambda *a, **kw: calls.append(1) or closure(*a, **kw))
+    cert = escape.escape_point(inst)
+    assert len(calls) == 1
+    assert cert.verified_noncontainment is True

@@ -58,9 +58,10 @@ def test_standard_generators_are_members():
 
 
 def test_standard_generators_generate():
-    for fam, n, q, order in (("SL", 2, 5, 120), ("Sp", 2, 3, 51840)):
+    for fam, n, q, order in (("SL", 2, 5, 120), ("Sp", 2, 3, 51840),
+                             ("SL", 2, 9, 720), ("SL", 2, 27, 19656)):
         spec = groups.GroupSpec(fam, n)
-        F = gf.make_field(q)
+        F = gf.make_field(*gf.factor_prime_power(q))
         ball = bfs.closure(F, spec.N, groups.standard_generators(spec, F))
         assert len(ball) == order
 
@@ -111,6 +112,19 @@ def test_random_group_elements_are_members():
         for _ in range(10):
             g = groups.random_group_element(spec, F, rng)
             assert groups.is_member(F, g, spec)
+
+
+def test_random_elements_over_extension_field_generate():
+    # transvection parameters are whole encodings of F_9, not residues mod 3,
+    # so samples leave SL(2,3); seeds 3, 12 and 19 of 0..19 land in a
+    # subgroup SL(2,5) of order 120 instead
+    spec = groups.GroupSpec("SL", 2)
+    F = gf.make_field(3, 2)
+    rng = random.Random(0)
+    mats = [groups.random_group_element(spec, F, rng) for _ in range(3)]
+    assert any(x >= 3 for m in mats for x in m)
+    gens = [linalg.identity(2)] + mats + [linalg.inv(F, 2, m) for m in mats]
+    assert len(bfs.closure(F, 2, gens)) == 720
 
 
 def test_torus_spec_and_points():

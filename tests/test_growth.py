@@ -4,7 +4,7 @@ import random
 import pytest
 
 from chevlab import gf, groups, growth
-from chevlab.errors import HypothesisFailed, NotGenerating
+from chevlab.errors import HypothesisFailed, NotGenerating, SamplerStalled
 
 
 def _sl2(q):
@@ -141,3 +141,17 @@ def test_seeded_reproducibility():
     a = growth.GenSet.random_symmetric(spec, F, 3, random.Random(42))
     b = growth.GenSet.random_symmetric(spec, F, 3, random.Random(42))
     assert a.mats == b.mats
+
+
+def test_random_subset_rejects_sizes_beyond_the_group():
+    spec, F = _sl2(7)
+    with pytest.raises(ValueError):
+        growth.GenSet.random_subset(spec, F, 336, random.Random(0))
+
+
+def test_random_subset_stops_when_the_sampler_stalls(monkeypatch):
+    spec, F = _sl2(7)
+    monkeypatch.setattr(groups, "random_group_element",
+                        lambda spec, F, rng: (1, 1, 0, 1))
+    with pytest.raises(SamplerStalled):
+        growth.GenSet.random_subset(spec, F, 3, random.Random(0))
