@@ -5,13 +5,19 @@ non-regular-semisimple subtorus catalogue.
 Polynomials over a field are coefficient lists of encodings, low degree
 first.  The characteristic polynomial is computed exactly by Hessenberg
 reduction (similarity transforms + the standard recurrence), which only ever
-divides by nonzero pivots and so works over any field.
+divides by nonzero pivots and so works over any field.  Discriminants come
+from resultants, which Euclid's algorithm computes on top of `poly_mod`.
 """
 
 from __future__ import annotations
 
 from . import bfs, linalg
-from .errors import GroupTooLarge, TorusTooLarge
+from .errors import (
+    GroupTooLarge,
+    InvariantViolation,
+    TheoremViolation,
+    TorusTooLarge,
+)
 from .gf import factor_prime_power
 
 
@@ -78,25 +84,22 @@ def poly_deriv(F, a):
 
 
 def resultant(F, a, b):
-    """Sylvester resultant of two polynomials (actual degrees)."""
+    """Resultant of two polynomials (actual degrees) by Euclid's algorithm:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), r = a mod b,
+    down to Res(a, c) = c^(deg a) for a constant c."""
     a, b = poly_trim(a), poly_trim(b)
     if not a or not b:
         return 0
-    n, m = len(a) - 1, len(b) - 1
-    if n == 0:
-        return F.pow(a[0], m)
-    if m == 0:
-        return F.pow(b[0], n)
-    size = n + m
-    rows = []
-    arev = list(reversed(a))
-    brev = list(reversed(b))
-    for i in range(m):
-        rows.append([0] * i + arev + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + brev + [0] * (size - m - 1 - i))
-    flat = tuple(x for row in rows for x in row)
-    return linalg.det(F, size, flat)
+    res = 1
+    while len(b) > 1:
+        r = poly_mod(F, a, b)
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = F.neg(res)
+        res = F.mul(res, F.pow(b[-1], len(a) - len(r)))
+        a, b = b, r
+    return F.mul(res, F.pow(b[0], len(a) - 1))
 
 
 def poly_disc(F, coeffs):
@@ -180,7 +183,8 @@ def is_regular_semisimple(F, N, mat, crosscheck=False):
     if crosscheck:
         g = poly_gcd(F, list(data.coeffs), poly_deriv(F, list(data.coeffs)))
         by_gcd = len(g) <= 1
-        assert by_disc == by_gcd, "disc and gcd criteria disagree"
+        if by_disc != by_gcd:
+            raise TheoremViolation("disc and gcd criteria disagree")
     return by_disc
 
 
@@ -247,7 +251,8 @@ def nonrs_subtori(spec):
         if spec.family == "SOodd":
             for i in range(n):
                 rels.append(SubtorusRelation("equals_one", (i,)))
-    assert len(rels) <= spec.r * (spec.r + 1)
+    if len(rels) > spec.r * (spec.r + 1):
+        raise InvariantViolation("more than r(r+1) subtorus relations")
     return rels
 
 

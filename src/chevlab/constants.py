@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InequalityFailed, RankTooSmall
+from .errors import InequalityFailed, InvariantViolation, RankTooSmall
 from .logscaled import LogScaled, _ln_big, _logaddexp
 
 LN2 = math.log(2.0)
@@ -105,7 +105,8 @@ def e_exponent(r, d):
     """e(d) = (d+1)(2r^2 + r - d/2); always an integer."""
     c = 2 * r * r + r
     num = (d + 1) * (2 * c - d)
-    assert num % 2 == 0
+    if num % 2:
+        raise InvariantViolation("e(d) is not an integer")
     return num // 2
 
 

@@ -11,12 +11,19 @@ determinant of binomial path counts.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .errors import KTooLarge
+from . import linalg
+from .errors import InvariantViolation, KTooLarge, TheoremViolation
 
 ENUM_K_MAX = 12
 DET_K_MAX = 40
+
+# the field Q on Fraction values, for linalg
+_RATIONALS = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul,
+                             neg=operator.neg, inv=lambda x: 1 / x)
 
 
 class PathCountResult:
@@ -90,35 +97,19 @@ def _count_enumerate(k):
                 if all(tup[a] > tup[a + 1] for a in range(len(tup) - 1)):
                     new_states[tup] = new_states.get(tup, 0) + cnt
         states = new_states
-    assert set(states) <= {()}
+    if set(states) - {()}:
+        raise InvariantViolation("a path is still active after the sweep")
     return states.get((), 0)
 
 
 def _count_determinant(k):
     """LGV determinant: M[i][j] = C((k-2i)+(k-2j), k-2i), exact rational det."""
     m = k // 2
-    M = [[Fraction(math.comb(2 * k - 2 * i - 2 * j, k - 2 * i))
-          for j in range(1, m + 1)] for i in range(1, m + 1)]
-    # fraction Gaussian elimination
-    det = Fraction(1)
-    for col in range(m):
-        piv = None
-        for row in range(col, m):
-            if M[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv_p = 1 / M[col][col]
-        for row in range(col + 1, m):
-            f = M[row][col] * inv_p
-            if f:
-                M[row] = [x - f * y for x, y in zip(M[row], M[col])]
-    assert det.denominator == 1
+    det = linalg.det(_RATIONALS, m, tuple(
+        Fraction(math.comb(2 * k - 2 * i - 2 * j, k - 2 * i))
+        for i in range(1, m + 1) for j in range(1, m + 1)))
+    if det.denominator != 1:
+        raise InvariantViolation("the LGV determinant is not an integer")
     return int(det)
 
 
@@ -158,5 +149,6 @@ def cl_degree_bound(spec):
     N, r = spec.N, spec.r
     factorial_form = math.factorial(N - 1) * exact_group_degree(spec)
     closed_form = 2 ** (3 * r * r) * r ** (2 * r)
-    assert factorial_form <= closed_form
+    if factorial_form > closed_form:
+        raise TheoremViolation("(N-1)! deg(G) exceeds 2^(3r^2) r^(2r)")
     return {"factorial_form": factorial_form, "closed_form": closed_form}

@@ -24,6 +24,10 @@ class TheoremError(ArtifactError):
     """A verified mathematical statement came out false (build-failing)."""
 
 
+class InvariantViolation(TheoremError):
+    """An internal invariant of a computation does not hold (a bug)."""
+
+
 # --- field layer ---
 
 class NonPrimeCharacteristic(ArtifactError):
@@ -31,10 +35,6 @@ class NonPrimeCharacteristic(ArtifactError):
 
 
 class ReducibleModulus(ArtifactError):
-    pass
-
-
-class FieldMismatch(ArtifactError):
     pass
 
 
@@ -138,6 +138,10 @@ class ZeroEta(ArtifactError):
 
 class RankDeficient(TheoremError):
     pass
+
+
+class CompletionExhausted(CapError):
+    """The randomized torus completion dead-ended on every restart."""
 
 
 # --- constants ---

@@ -12,6 +12,7 @@ from .errors import (
     NoEscapeWithinBall,
     NotHomogenizable,
     ShapeMismatch,
+    TheoremViolation,
 )
 from .logscaled import LogScaled
 from .varieties import Poly, VarietySpec
@@ -128,8 +129,8 @@ def escape_point(inst, cap=10 ** 6, verify_orbit=True):
         if escapers:
             witness = min(escapers, key=lambda g: linalg.mat_ser(F, N, g))
             cert = EscapeCertificate(witness, k, bound["logscaled"], verified)
-            if verified:
-                assert k <= bound["exact"], "escape bound violated"
+            if verified and k > bound["exact"]:
+                raise TheoremViolation("escape bound violated")
             return cert
     if ball.saturated_at is not None:
         raise NoEscapeWithinBall("the whole orbit lies inside the variety")
@@ -245,8 +246,8 @@ def shitov_escape(inst, via_linearize=False, cap=10 ** 6):
         hits = [g for g in by_depth[k] if escapes(g)]
         if hits:
             witness = min(hits, key=lambda g: linalg.mat_ser(F, N, g))
-            assert float(k) < 11 * D * (N + 1) ** D * math.log(N), \
-                "Shitov bound violated"
+            if float(k) >= 11 * D * (N + 1) ** D * math.log(N):
+                raise TheoremViolation("Shitov bound violated")
             return EscapeCertificate(witness, k, bound, None)
     raise NoEscapeWithinBall("generated subgroup lies inside the variety")
 
@@ -268,7 +269,8 @@ def find_regular_semisimple(F, spec, generators, cap=10 ** 6):
                 if classify.is_regular_semisimple(F, N, g)]
         if hits:
             witness = min(hits, key=lambda g: linalg.mat_ser(F, N, g))
-            assert LogScaled.from_exact(max(k, 1)).cmp(bound) <= 0
+            if LogScaled.from_exact(max(k, 1)).cmp(bound) > 0:
+                raise TheoremViolation("regular semisimple escape bound violated")
             return EscapeCertificate(witness, k, bound, None)
     raise NoEscapeWithinBall(
         "no regular semisimple element in the generated subgroup")

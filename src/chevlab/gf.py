@@ -4,16 +4,13 @@ Elements are carried around as canonical integer encodings: the element with
 coefficient vector (c_0, ..., c_{e-1}) (low degree first, all in [0, p)) is
 encoded as sum c_i * p^i.  For prime fields this is just the residue.  The
 encoding set is exactly range(q), which keeps enumeration loops trivial.
-
-FieldSpec holds the arithmetic; FieldElement is a thin wrapper with operator
-overloading for code that wants to read like algebra.
+FieldSpec holds the arithmetic.
 """
 
 from __future__ import annotations
 
 from .errors import (
     DivisionByZero,
-    FieldMismatch,
     NonPrimeCharacteristic,
     ReducibleModulus,
     ZeroInput,
@@ -236,9 +233,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_square_enc(self, a):
         if a == 0:
             raise ZeroInput("is_square is undefined at 0")
@@ -248,62 +242,6 @@ class FieldSpec:
 
     def elements(self):
         return range(self.q)
-
-    def element(self, value):
-        """Wrap an encoding (or plain residue for e=1) as a FieldElement."""
-        return FieldElement(self, value % self.q if self.e == 1 else value)
-
-
-class FieldElement:
-    """A single finite field element; thin wrapper over a FieldSpec encoding."""
-
-    __slots__ = ("owner", "enc")
-
-    def __init__(self, owner, enc):
-        if enc < 0 or enc >= owner.q:
-            raise ValueError("encoding {} not in range 0..{}".format(enc, owner.q - 1))
-        self.owner = owner
-        self.enc = enc
-
-    def __repr__(self):
-        return "FieldElement({}, {})".format(self.owner, self.owner.ser(self.enc))
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.owner == other.owner and self.enc == other.enc
-
-    def __hash__(self):
-        return hash((self.owner, self.enc))
-
-    def _check(self, other):
-        if self.owner != other.owner:
-            raise FieldMismatch("elements live in different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.owner, self.owner.add(self.enc, other.enc))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.owner, self.owner.sub(self.enc, other.enc))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.owner, self.owner.mul(self.enc, other.enc))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.owner, self.owner.div(self.enc, other.enc))
-
-    def __neg__(self):
-        return FieldElement(self.owner, self.owner.neg(self.enc))
-
-    def __pow__(self, k):
-        return FieldElement(self.owner, self.owner.pow(self.enc, k))
-
-    def ser(self):
-        return self.owner.ser(self.enc)
 
 
 def factor_prime_power(q):
@@ -330,21 +268,3 @@ def factor_prime_power(q):
 def make_field(p, e=1, modulus=None):
     """Build a validated FieldSpec for GF(p^e)."""
     return FieldSpec(p, e, modulus)
-
-
-def field_arith(a, b, kind):
-    """Dispatch form of the four arithmetic operations on FieldElements."""
-    ops = {
-        "add": FieldElement.__add__,
-        "sub": FieldElement.__sub__,
-        "mul": FieldElement.__mul__,
-        "div": FieldElement.__truediv__,
-    }
-    if kind not in ops:
-        raise ValueError("unknown kind {!r}".format(kind))
-    return ops[kind](a, b)
-
-
-def is_square(a):
-    """True iff a is a nonzero square, decided by a^((q-1)/2) = 1."""
-    return a.owner.is_square_enc(a.enc)

@@ -16,8 +16,10 @@ from .errors import (
     BadEta,
     FamilyNotSupported,
     InadmissibleFamilyParameter,
+    InvariantViolation,
     ShapeMismatch,
     SingularShift,
+    TheoremViolation,
     TorusTooLarge,
 )
 from .gf import factor_prime_power
@@ -70,7 +72,8 @@ class GroupSpec:
             raise InadmissibleFamilyParameter("unknown family {!r}".format(family))
         self.family = family
         self.n = n
-        assert self.dim == self.ell * self.r
+        if self.dim != self.ell * self.r:
+            raise InvariantViolation("dim G != ell * r")
 
     def __eq__(self, other):
         return (isinstance(other, GroupSpec)
@@ -212,7 +215,8 @@ def group_order(spec, q):
         prod = 1
         for i in range(r + 1):
             prod *= q ** (r + 1) - q ** i
-        assert prod % (q - 1) == 0
+        if prod % (q - 1):
+            raise InvariantViolation("|GL| is not divisible by q - 1")
         return prod // (q - 1)
     if spec.family == "SOeven":
         prod = q ** (r * (r - 1)) * (q ** r - 1)
@@ -334,7 +338,8 @@ def exact_torus_conjugate_count(spec, F, universe):
         if all(linalg.mat_mul(F, N, linalg.mat_mul(F, N, g, t), gi) in torus
                for t in torus):
             count += 1
-    assert len(universe) % count == 0
+    if len(universe) % count:
+        raise TheoremViolation("|N(T)| does not divide |G| (Lagrange)")
     return len(universe) // count
 
 

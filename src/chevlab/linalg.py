@@ -3,6 +3,11 @@
 Matrices are flat row-major tuples of field-element encodings; the pair
 (n, mat) with len(mat) == n*n travels together.  Flat tuples double as hash
 keys for BFS tables and as the serialization backbone.
+
+All row reduction goes through one incremental step, `echelon_add`: `det`
+multiplies the pivot values it returns, `inv` and `nullspace` read the
+reduced echelon form that two passes of it give, and the torus rank
+certificates and the LGV path determinant call it directly or through `det`.
 """
 
 from __future__ import annotations
@@ -12,14 +17,6 @@ from .errors import ShapeMismatch
 
 def identity(n):
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-
-
-def zero(n):
-    return (0,) * (n * n)
-
-
-def entry(mat, n, i, j):
-    return mat[i * n + j]
 
 
 def mat_mul(F, n, a, b):
@@ -66,112 +63,77 @@ def bracket(F, n, a, b):
     return mat_sub(F, mat_mul(F, n, a, b), mat_mul(F, n, b, a))
 
 
+def echelon_add(F, basis, row):
+    """The one row-reduction step.  `basis` is a list of (pivot column, row)
+    pairs; each row is 1 at its pivot, 0 before it and 0 at the pivots of the
+    rows before it.  Reduce `row` against them; if what is left is nonzero,
+    scale it to 1 at its first nonzero column, append it, and return the value
+    it had there.  Otherwise return 0 and leave `basis` as it was."""
+    row = list(row)
+    sub, mul = F.sub, F.mul
+    for pc, prow in basis:
+        c = row[pc]
+        if c:
+            row[pc:] = [sub(x, mul(c, y)) for x, y in zip(row[pc:], prow[pc:])]
+    for j, c in enumerate(row):
+        if c:
+            inv_c = F.inv(c)
+            basis.append((j, [0] * j + [mul(inv_c, x) for x in row[j:]]))
+            return c
+    return 0
+
+
+def _rref(F, rows):
+    """Reduced row echelon form of `rows` as (pivot, row) pairs sorted by
+    pivot.  Adding the echelon rows again, last pivot first, clears every
+    pivot column above its pivot."""
+    basis = []
+    for row in rows:
+        echelon_add(F, basis, row)
+    reduced = []
+    for _, row in sorted(basis, reverse=True):
+        echelon_add(F, reduced, row)
+    return reduced[::-1]
+
+
 def det(F, n, a):
-    """Determinant by Gaussian elimination over the field."""
-    m = [list(a[i * n:(i + 1) * n]) for i in range(n)]
+    """Determinant: the product of the pivot values that echelon_add returns,
+    times the sign of the permutation formed by the pivot columns."""
+    basis = []
     d = 1
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if m[row][col]:
-                piv = row
-                break
-        if piv is None:
+    for i in range(n):
+        c = echelon_add(F, basis, a[i * n:(i + 1) * n])
+        if not c:
             return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            d = F.neg(d)
-        d = F.mul(d, m[col][col])
-        inv_p = F.inv(m[col][col])
-        for row in range(col + 1, n):
-            if m[row][col]:
-                factor = F.mul(m[row][col], inv_p)
-                for j in range(col, n):
-                    m[row][j] = F.sub(m[row][j], F.mul(factor, m[col][j]))
-    return d
+        d = F.mul(d, c)
+    cols = [pc for pc, _ in basis]
+    inversions = sum(x > y for i, x in enumerate(cols) for y in cols[i + 1:])
+    return F.neg(d) if inversions % 2 else d
 
 
 def inv(F, n, a):
-    """Matrix inverse by Gauss-Jordan; raises ZeroDivisionError if singular."""
-    m = [list(a[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if m[row][col]:
-                piv = row
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv_p = F.inv(m[col][col])
-        m[col] = [F.mul(inv_p, x) for x in m[col]]
-        for row in range(n):
-            if row != col and m[row][col]:
-                factor = m[row][col]
-                m[row] = [F.sub(x, F.mul(factor, y)) for x, y in zip(m[row], m[col])]
-    return tuple(m[i][n + j] for i in range(n) for j in range(n))
-
-
-def rank(F, rows):
-    """Rank of a list of row vectors (encodings) over F. Rows may be ragged-free lists."""
-    if not rows:
-        return 0
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for row in range(r, len(work)):
-            if work[row][col]:
-                piv = row
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv_p = F.inv(work[r][col])
-        work[r] = [F.mul(inv_p, x) for x in work[r]]
-        for row in range(len(work)):
-            if row != r and work[row][col]:
-                factor = work[row][col]
-                work[row] = [F.sub(x, F.mul(factor, y))
-                             for x, y in zip(work[row], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    """Matrix inverse from the reduced echelon form of [a | I]; raises
+    ZeroDivisionError if a is singular."""
+    reduced = _rref(F, [list(a[i * n:(i + 1) * n]) + [0] * i + [1] + [0] * (n - 1 - i)
+                        for i in range(n)])
+    if reduced[-1][0] >= n:  # a pivot in the I half: the rows of a are dependent
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(x for _, row in reduced for x in row[n:])
 
 
 def nullspace(F, rows, ncols):
-    """Basis of the right kernel of the matrix with the given rows over F."""
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for row in range(r, len(work)):
-            if work[row][col]:
-                piv = row
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv_p = F.inv(work[r][col])
-        work[r] = [F.mul(inv_p, x) for x in work[r]]
-        for row in range(len(work)):
-            if row != r and work[row][col]:
-                factor = work[row][col]
-                work[row] = [F.sub(x, F.mul(factor, y))
-                             for x, y in zip(work[row], work[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right kernel of the matrix with the given rows over F,
+    one vector per free column of the reduced echelon form."""
+    reduced = _rref(F, rows)
+    pivots = [pc for pc, _ in reduced]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [0] * ncols
         vec[fc] = 1
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = F.neg(work[prow][fc])
+        for pc, prow in reduced:
+            vec[pc] = F.neg(prow[fc])
         basis.append(tuple(vec))
     return basis
 
@@ -188,7 +150,6 @@ def mat_parse(F, n, text):
     if len(parts) != n * n:
         raise ShapeMismatch("expected {} entries, got {}".format(n * n, len(parts)))
     return tuple(F.parse(part) for part in parts)
-
 
 
 def to_rows(n, mat):

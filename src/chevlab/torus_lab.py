@@ -3,11 +3,14 @@
 For a canonical non-maximal torus T with Lie algebra t, find witnesses
 g_1..g_ell such that t, [g_1,t], ..., [g_ell,t] (or t, Ad_{g_1}(t), ...) are
 linearly independent, and certify the total rank (ell+1)*dim(t) by exact
-Gaussian elimination over F_q.
+elimination over F_q, one `linalg.echelon_add` step per row.
 
 The last two or three witnesses are explicit sparse matrices supported on the
 final rows/columns; the remaining ones are drawn from an embedded lower-rank
-subalgebra by seeded randomized search with greedy rank growth.
+subalgebra by seeded randomized search with greedy rank growth.  A failed
+draw is rolled back by truncating the echelon rows.  The greedy search can
+dead-end (no draw extends a slot); it then restarts from the torus basis, up
+to RESTARTS times, drawing on from the same rng.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import random
 from . import groups, linalg
 from .errors import (
     BadEta,
+    CompletionExhausted,
     FamilyNotSupported,
     HypothesisFailed,
     RankDeficient,
@@ -24,6 +28,7 @@ from .errors import (
 )
 
 RETRIES_PER_SLOT = 64
+RESTARTS = 4  # fresh completions from the torus basis after a dead end
 
 
 class IndependenceCertificate:
@@ -178,28 +183,33 @@ def _embed_random(t, F, rng):
 
 # --- exact incremental rank ---
 
-def _echelon_add(F, echelon, pivots, row):
-    """Reduce `row` against the echelon; add it if independent."""
-    row = list(row)
-    for pc, prow in zip(pivots, echelon):
-        c = row[pc]
-        if c:
-            row = [F.sub(x, F.mul(c, y)) for x, y in zip(row, prow)]
-    for j, c in enumerate(row):
-        if c:
-            inv = F.inv(c)
-            echelon.append(tuple(F.mul(inv, x) for x in row))
-            pivots.append(j)
-            return True
-    return False
-
-
 def _image_rows(t_basis, g, F, N, mode):
     if mode == "lie_bracket":
         return [linalg.bracket(F, N, g, b.mat) for b in t_basis]
     gi = linalg.inv(F, N, g)
     return [linalg.mat_mul(F, N, linalg.mat_mul(F, N, g, b.mat), gi)
             for b in t_basis]
+
+
+def _greedy_completion(t, F, mode, basis, echelon, rng, count):
+    """Draw `count` witnesses whose images extend `echelon`, each within
+    RETRIES_PER_SLOT draws; None at a dead end, a slot no draw extends."""
+    witnesses = []
+    for _slot in range(count):
+        for _attempt in range(RETRIES_PER_SLOT):
+            if mode == "lie_bracket":
+                g = _embed_random(t, F, rng)
+            else:
+                g = groups.random_group_element(t.spec, F, rng)
+            k = len(echelon)
+            rows = _image_rows(basis, g, F, t.spec.N, mode)
+            if all(linalg.echelon_add(F, echelon, row) for row in rows):
+                witnesses.append(g)
+                break
+            del echelon[k:]
+        else:
+            return None
+    return witnesses
 
 
 def rank_certificate(t, F, mode="lie_bracket", seed=0):
@@ -224,35 +234,26 @@ def rank_certificate(t, F, mode="lie_bracket", seed=0):
     dim_t = len(basis)
     ell = spec.ell
     N = spec.N
-    echelon, pivots = [], []
+    echelon = []
     for b in basis:
-        if not _echelon_add(F, echelon, pivots, b.mat):
+        if not linalg.echelon_add(F, echelon, b.mat):
             raise RankDeficient("torus basis is degenerate")
     rng = random.Random(seed)
     explicit = []
     if mode == "lie_bracket" and spec.family != "SL":
         explicit = [h.mat for h in explicit_h_matrices(t, F)]
-    n_random = ell - len(explicit)
-    witnesses = []
-    for slot in range(n_random):
-        for attempt in range(RETRIES_PER_SLOT):
-            if mode == "lie_bracket":
-                g = _embed_random(t, F, rng)
-            else:
-                g = groups.random_group_element(spec, F, rng)
-            rows = _image_rows(basis, g, F, N, mode)
-            snap = (len(echelon), list(echelon), list(pivots))
-            if all(_echelon_add(F, echelon, pivots, row) for row in rows):
-                witnesses.append(g)
-                break
-            _, echelon, pivots = snap
-        else:
-            raise RankDeficient(
-                "randomized completion failed at slot {} after {} draws".format(
-                    slot, RETRIES_PER_SLOT))
+    for _ in range(1 + RESTARTS):
+        del echelon[dim_t:]
+        witnesses = _greedy_completion(t, F, mode, basis, echelon, rng,
+                                       ell - len(explicit))
+        if witnesses is not None:
+            break
+    else:
+        raise CompletionExhausted(
+            "randomized completion dead-ended {} times".format(1 + RESTARTS))
     for h in explicit:
         rows = _image_rows(basis, h, F, N, "lie_bracket")
-        if not all(_echelon_add(F, echelon, pivots, row) for row in rows):
+        if not all(linalg.echelon_add(F, echelon, row) for row in rows):
             raise RankDeficient("an explicit witness failed the rank step")
         witnesses.append(h)
     achieved = len(echelon)

@@ -1,0 +1,123 @@
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chevlab import classify, gf, linalg
+
+FIELDS = {5: gf.make_field(5), 7: gf.make_field(7), 9: gf.make_field(3, 2)}
+
+
+@st.composite
+def field_and_matrix(draw, max_n=4, square=True):
+    """(F, nrows, ncols, flat entries) with small shapes."""
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nrows = draw(st.integers(1, max_n))
+    ncols = nrows if square else draw(st.integers(1, max_n))
+    entries = draw(st.lists(st.integers(0, F.q - 1),
+                            min_size=nrows * ncols, max_size=nrows * ncols))
+    return F, nrows, ncols, tuple(entries)
+
+
+def leibniz_det(F, n, a):
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = F.mul(term, a[i * n + j])
+        inversions = sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+        total = F.add(total, F.neg(term) if inversions % 2 else term)
+    return total
+
+
+def minor_rank(F, rows, ncols):
+    """Largest k with a nonzero k x k minor (Leibniz), as an oracle."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        for ri in itertools.combinations(range(len(rows)), k):
+            for ci in itertools.combinations(range(ncols), k):
+                sub = tuple(rows[i][j] for i in ri for j in ci)
+                if leibniz_det(F, k, sub):
+                    return k
+    return 0
+
+
+def sylvester(a, b):
+    """The (n+m) x (n+m) Sylvester matrix of a (degree n) and b (degree m)."""
+    n, m = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + b[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    return tuple(x for row in rows for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_and_matrix())
+def test_det_matches_leibniz(case):
+    F, n, _, a = case
+    assert linalg.det(F, n, a) == leibniz_det(F, n, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_and_matrix(max_n=5), st.data())
+def test_det_is_multiplicative(case, data):
+    F, n, _, a = case
+    b = tuple(data.draw(st.lists(st.integers(0, F.q - 1), min_size=n * n,
+                                 max_size=n * n)))
+    assert linalg.det(F, n, linalg.mat_mul(F, n, a, b)) == F.mul(
+        linalg.det(F, n, a), linalg.det(F, n, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_and_matrix(max_n=5))
+def test_inverse_times_matrix_is_identity(case):
+    F, n, _, a = case
+    if linalg.det(F, n, a) == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.inv(F, n, a)
+    else:
+        assert linalg.mat_mul(F, n, linalg.inv(F, n, a), a) == linalg.identity(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_and_matrix(square=False))
+def test_nullspace_annihilates_rows_and_has_full_size(case):
+    F, nrows, ncols, a = case
+    rows = [a[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    kernel = linalg.nullspace(F, rows, ncols)
+    assert len(kernel) == ncols - minor_rank(F, rows, ncols)
+    for vec in kernel:
+        for row in rows:
+            acc = 0
+            for x, y in zip(row, vec):
+                acc = F.add(acc, F.mul(x, y))
+            assert acc == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_and_matrix(max_n=5, square=False))
+def test_echelon_add_keeps_its_invariant(case):
+    F, nrows, ncols, a = case
+    basis = []
+    for i in range(nrows):
+        before = len(basis)
+        c = linalg.echelon_add(F, basis, a[i * ncols:(i + 1) * ncols])
+        assert (c != 0) == (len(basis) == before + 1)
+    assert len(basis) == minor_rank(F, [a[i * ncols:(i + 1) * ncols]
+                                        for i in range(nrows)], ncols)
+    for k, (pc, row) in enumerate(basis):
+        assert row[pc] == 1 and not any(row[:pc])
+        assert all(row[earlier] == 0 for earlier, _ in basis[:k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_resultant_matches_sylvester_determinant(q, data):
+    F = FIELDS[q]
+    coeffs = st.integers(0, F.q - 1)
+    a = data.draw(st.lists(coeffs, max_size=4)) + [data.draw(st.integers(1, F.q - 1))]
+    b = data.draw(st.lists(coeffs, max_size=4)) + [data.draw(st.integers(1, F.q - 1))]
+    n, m = len(a) - 1, len(b) - 1
+    if n == 0 or m == 0:
+        want = F.pow(a[0], m) if n == 0 else F.pow(b[0], n)
+    else:
+        want = linalg.det(F, n + m, sylvester(a, b))
+    assert classify.resultant(F, a, b) == want

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from chevlab import gf, groups, torus_lab
+from chevlab import cli, gf, groups, torus_lab
 from chevlab.errors import (
     BadEta,
+    CompletionExhausted,
     FamilyNotSupported,
     HypothesisFailed,
     ZeroEta,
@@ -97,6 +98,30 @@ def test_rank_certificate_deterministic_per_seed():
     a = torus_lab.rank_certificate(t, F, "lie_bracket", seed=5)
     b = torus_lab.rank_certificate(t, F, "lie_bracket", seed=5)
     assert [w.ser() for w in a.witnesses] == [w.ser() for w in b.witnesses]
+
+
+DEAD_END_SEEDS = (4, 5, 34, 46, 64, 104, 233, 239, 298)
+
+
+def test_dead_end_seeds_restart_and_certify():
+    spec = groups.GroupSpec("SOodd", 3)
+    F = gf.make_field(3)
+    t = groups.TorusSpec(spec, (1, 0, 1))
+    for seed in DEAD_END_SEEDS:
+        cert = torus_lab.rank_certificate(t, F, "lie_bracket", seed=seed)
+        assert cert.achieved_rank == (spec.ell + 1) * (spec.r - 1)
+        assert len(cert.witnesses) == spec.ell
+    assert cli.run(["torus-cert", "--group", "SOodd", "--n", "3", "--q", "3",
+                    "--eta", "1,0,1", "--seed", "4"]) == 0
+
+
+def test_exhausted_restarts_are_a_cap_error(monkeypatch):
+    monkeypatch.setattr(torus_lab, "RESTARTS", 0)
+    t = groups.TorusSpec(groups.GroupSpec("SOodd", 3), (1, 0, 1))
+    with pytest.raises(CompletionExhausted):
+        torus_lab.rank_certificate(t, gf.make_field(3), "lie_bracket", seed=4)
+    assert cli.run(["torus-cert", "--group", "SOodd", "--n", "3", "--q", "3",
+                    "--eta", "1,0,1", "--seed", "4"]) == 3
 
 
 def test_reconstruction_identities():
