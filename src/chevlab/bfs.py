@@ -45,6 +45,12 @@ class Ball:
     def layer(self, t):
         return self.elements[self.offsets[t]:self.offsets[t + 1]]
 
+    def size_at(self, t):
+        """|A^t|, held at the last size computed for t past it."""
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        return self.sizes[min(t, len(self.sizes)) - 1]
+
     def depth_array(self):
         """Word length of each element, in BFS order."""
         return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
@@ -164,6 +170,8 @@ def closure(F, N, gens, cap=10 ** 7, t_max=None):
     sizes are cumulative (gens should contain the identity for |A^t| to mean
     the t-ball of A literally).
     """
+    if t_max is not None and t_max < 1:
+        raise ValueError("t_max must be >= 1")
     gens = as_array(F, N, gens)
     frontier = np.eye(N, dtype=np.int64)[None]
     visited = pack(F, N, frontier)

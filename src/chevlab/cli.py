@@ -6,8 +6,8 @@ decimal strings, one trailing newline.  The growth subcommand can emit CSV
 instead.  Exit codes: 0 ok, 2 usage or input error, 3 a cap was exceeded,
 4 a hypothesis/precondition fails, 5 a checked mathematical statement failed.
 
-The only environment knob is CHEVLAB_WORKERS (worker count for exhaustive
-point counts); it never changes report bytes, only wall time.
+No environment variable is read, so identical argv (and variety files) give
+identical report bytes.
 """
 
 from __future__ import annotations
@@ -182,9 +182,9 @@ def _cmd_growth(args):
         base.update(growth.intersect_count(A, args.t_max, target,
                                            cap=args.cap))
         return base
-    series = growth.ball_series(A, args.t_max, cap=args.cap)
-    base["ball_sizes"] = series.sizes
-    base["saturated_at"] = series.saturated_at
+    ball = growth.ball_series(A, args.t_max, cap=args.cap)
+    base["ball_sizes"] = [ball.size_at(t) for t in range(1, args.t_max + 1)]
+    base["saturated_at"] = ball.saturated_at
     return base
 
 

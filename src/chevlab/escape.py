@@ -15,7 +15,7 @@ from .errors import (
     TheoremViolation,
 )
 from .logscaled import LogScaled
-from .varieties import Poly, VarietySpec
+from .varieties import Poly
 
 ACTIONS = ("left_multiplication", "conjugation")
 
@@ -96,45 +96,38 @@ class EscapeCertificate:
         return "EscapeCertificate(k={}, bound={})".format(self.k_found, self.bound)
 
 
-def _ball_by_depth(F, N, gens, cap):
+def _shortest_witness(F, N, gens, cap, hit, nothing):
+    """(k, g): the least word length k of an element g with hit(g), and the
+    least such g at k by mat_ser.  The closure of gens saturates or raises
+    BallCapExceeded, so when no element hits, none of the generated group
+    does: that raises NoEscapeWithinBall(nothing)."""
     ball = bfs.closure(F, N, gens, cap=cap)
-    by_depth = {t: [tuple(m) for m in ball.layer(t).reshape(-1, N * N).tolist()]
-                for t in range(len(ball.offsets) - 1)}
-    return ball, by_depth
+    for k in range(len(ball.offsets) - 1):
+        hits = [g for g in map(tuple, ball.layer(k).reshape(-1, N * N).tolist())
+                if hit(g)]
+        if hits:
+            return k, min(hits, key=lambda g: linalg.mat_ser(F, N, g))
+    raise NoEscapeWithinBall(nothing)
 
 
-def verify_orbit_noncontainment(inst, cap=10 ** 6, ball=None):
-    """Exhaustively check that the orbit of the point leaves the variety.
-    `ball`, when given, is the closure of the generators already built."""
-    if ball is None:
-        ball = bfs.closure(inst.F, inst.N, inst.generators, cap=cap)
-    if ball.saturated_at is None:
-        return False  # closure truncated; cannot verify
-    for g in ball.mats():
-        if not inst.variety.contains(inst.act(g)):
-            return True
-    return False
+def verify_orbit_noncontainment(inst, cap=10 ** 6):
+    """Exhaustively check that the orbit of the point leaves the variety."""
+    ball = bfs.closure(inst.F, inst.N, inst.generators, cap=cap)
+    return any(not inst.variety.contains(inst.act(g)) for g in ball.mats())
 
 
-def escape_point(inst, cap=10 ** 6, verify_orbit=True):
+def escape_point(inst, cap=10 ** 6):
     """Shortest witness g in A^k with g.point off the variety, ties broken by
-    serialized-matrix lexicographic order."""
-    F, N = inst.F, inst.N
-    ball, by_depth = _ball_by_depth(F, N, inst.generators, cap)
+    serialized-matrix lexicographic order.  The witness lies in the saturated
+    ball, so it also proves that the orbit leaves the variety."""
+    k, witness = _shortest_witness(
+        inst.F, inst.N, inst.generators, cap,
+        lambda g: not inst.variety.contains(inst.act(g)),
+        "the whole orbit lies inside the variety")
     bound = escape_bound(inst.variety.declared_dim, inst.variety.declared_deg)
-    verified = verify_orbit_noncontainment(inst, ball=ball) if verify_orbit else None
-    for k in sorted(by_depth):
-        escapers = [g for g in by_depth[k]
-                    if not inst.variety.contains(inst.act(g))]
-        if escapers:
-            witness = min(escapers, key=lambda g: linalg.mat_ser(F, N, g))
-            cert = EscapeCertificate(witness, k, bound["logscaled"], verified)
-            if verified and k > bound["exact"]:
-                raise TheoremViolation("escape bound violated")
-            return cert
-    if ball.saturated_at is not None:
-        raise NoEscapeWithinBall("the whole orbit lies inside the variety")
-    raise NoEscapeWithinBall("ball truncated before escape (cap reached)")
+    if k > bound["exact"]:
+        raise TheoremViolation("escape bound violated")
+    return EscapeCertificate(witness, k, bound["logscaled"], True)
 
 
 # --- linearization (tensor-power) route ---
@@ -221,7 +214,7 @@ def linearize(F, N, D, P):
     return Nt, P_lin
 
 
-def shitov_escape(inst, via_linearize=False, cap=10 ** 6):
+def shitov_escape(inst, cap=10 ** 6):
     """Element-escape: find g in A^k with P(g) != 0 for some defining P;
     k is certified below 11 D (N+1)^D ln N (natural log convention)."""
     F, N = inst.F, inst.N
@@ -229,27 +222,14 @@ def shitov_escape(inst, via_linearize=False, cap=10 ** 6):
     if V.ambient != N * N:
         raise ShapeMismatch("element escape needs a variety over matrix entries")
     D = max(max(P.total_degree for P in V.polys), 1)
-    ball, by_depth = _ball_by_depth(F, N, inst.generators, cap)
-    if via_linearize:
-        lins = [linearize(F, N, D, P) for P in V.polys]
-
-        def escapes(g):
-            gt = rho_iota(F, N, D, g)
-            return any(P_lin.evaluate(gt) != 0 for _, P_lin in lins)
-    else:
-        def escapes(g):
-            return any(P.evaluate(g) != 0 for P in V.polys)
-
+    k, witness = _shortest_witness(
+        F, N, inst.generators, cap,
+        lambda g: any(P.evaluate(g) != 0 for P in V.polys),
+        "generated subgroup lies inside the variety")
+    if float(k) >= 11 * D * (N + 1) ** D * math.log(N):
+        raise TheoremViolation("Shitov bound violated")
     bound_ln = math.log(11 * D) + D * math.log(N + 1) + math.log(math.log(N))
-    bound = LogScaled.from_ln(bound_ln)
-    for k in sorted(by_depth):
-        hits = [g for g in by_depth[k] if escapes(g)]
-        if hits:
-            witness = min(hits, key=lambda g: linalg.mat_ser(F, N, g))
-            if float(k) >= 11 * D * (N + 1) ** D * math.log(N):
-                raise TheoremViolation("Shitov bound violated")
-            return EscapeCertificate(witness, k, bound, None)
-    raise NoEscapeWithinBall("generated subgroup lies inside the variety")
+    return EscapeCertificate(witness, k, LogScaled.from_ln(bound_ln), None)
 
 
 def shitov_intermediate_envelope(Nt):
@@ -260,17 +240,12 @@ def shitov_intermediate_envelope(Nt):
 def find_regular_semisimple(F, spec, generators, cap=10 ** 6):
     """Shortest g in A^k with nonzero char-poly discriminant; k is certified
     below (2r)^(4r^2+3r) in log space."""
-    N = spec.N
-    ball, by_depth = _ball_by_depth(F, N, generators, cap)
-    r = spec.r
-    bound = LogScaled.power(2 * r, 4 * r * r + 3 * r)
-    for k in sorted(by_depth):
-        hits = [g for g in by_depth[k]
-                if classify.is_regular_semisimple(F, N, g)]
-        if hits:
-            witness = min(hits, key=lambda g: linalg.mat_ser(F, N, g))
-            if LogScaled.from_exact(max(k, 1)).cmp(bound) > 0:
-                raise TheoremViolation("regular semisimple escape bound violated")
-            return EscapeCertificate(witness, k, bound, None)
-    raise NoEscapeWithinBall(
+    N, r = spec.N, spec.r
+    k, witness = _shortest_witness(
+        F, N, generators, cap,
+        lambda g: classify.is_regular_semisimple(F, N, g),
         "no regular semisimple element in the generated subgroup")
+    bound = LogScaled.power(2 * r, 4 * r * r + 3 * r)
+    if LogScaled.from_exact(max(k, 1)).cmp(bound) > 0:
+        raise TheoremViolation("regular semisimple escape bound violated")
+    return EscapeCertificate(witness, k, bound, None)

@@ -86,22 +86,6 @@ class GenSet:
         return GenSet(spec, F, out)
 
 
-class BallSeries:
-    def __init__(self, sizes, saturated_at):
-        self.sizes = list(sizes)
-        self.saturated_at = saturated_at
-
-    def size_at(self, t):
-        if t < 1:
-            raise ValueError("t must be >= 1")
-        if t <= len(self.sizes):
-            return self.sizes[t - 1]
-        return self.sizes[-1]
-
-    def __repr__(self):
-        return "BallSeries({}, saturated_at={})".format(self.sizes, self.saturated_at)
-
-
 class Materialized:
     """A fully enumerated group with its generating set and depth table."""
 
@@ -116,50 +100,57 @@ class Materialized:
         return self.order
 
 
+def generating_ball(A, cap=10 ** 7):
+    """The closure of A to saturation, which must be all of G: raises
+    NotGenerating otherwise, so the length of the result is |G|."""
+    ball = bfs.closure(A.F, A.spec.N, A.mats, cap=cap)
+    order = groups.group_order(A.spec, A.F.q)
+    if len(ball) != order:
+        raise NotGenerating("set generates a proper subgroup "
+                            "({} of {})".format(len(ball), order))
+    return ball
+
+
 def materialize(spec, F, genset=None, cap=10 ** 7):
     order = groups.group_order(spec, F.q)
     if order > cap:
         raise GroupTooLarge("|G| = {} exceeds cap {}".format(order, cap))
     if genset is None:
         genset = GenSet.standard(spec, F)
-    ball = bfs.closure(F, spec.N, genset.mats, cap=cap)
-    if len(ball) != order:
-        raise NotGenerating(
-            "closure size {} != |G| = {}".format(len(ball), order))
-    return Materialized(spec, F, genset, ball, order)
+    return Materialized(spec, F, genset, generating_ball(genset, cap), order)
 
 
 def ball_series(A, t_max, cap=10 ** 7):
-    ball = bfs.closure(A.F, A.spec.N, A.mats, cap=cap, t_max=t_max)
-    sizes = ball.sizes[:t_max]
-    while len(sizes) < t_max:
-        sizes.append(sizes[-1])
-    return BallSeries(sizes, ball.saturated_at)
+    """The ball of A cut at word length t_max; Ball.size_at reads |A^t|."""
+    return bfs.closure(A.F, A.spec.N, A.mats, cap=cap, t_max=t_max)
 
 
 def diameter(A, cap=10 ** 7):
-    ball = bfs.closure(A.F, A.spec.N, A.mats, cap=cap)
-    order = groups.group_order(A.spec, A.F.q)
-    if len(ball) != order:
-        raise NotGenerating("set generates a proper subgroup "
-                            "({} of {})".format(len(ball), order))
-    return ball.saturated_at
+    return generating_ball(A, cap).saturated_at
+
+
+def ruzsa_sides(ball, k):
+    """Both sides of |A^k| / |A| <= (|A^3| / |A|)^(k-2), as the exact integer
+    inequality |A^k| |A|^(k-3) <= |A^3|^(k-2)."""
+    a1 = ball.size_at(1)
+    return ball.size_at(k) * a1 ** (k - 3), ball.size_at(3) ** (k - 2)
+
+
+def olson_branches(ball, order):
+    """Olson's dichotomy as its two branches: A^3 = G, and |A^3| >= 2 |A|."""
+    a3 = ball.size_at(3)
+    return a3 == order, a3 >= 2 * ball.size_at(1)
 
 
 def ruzsa_check(A, k, cap=10 ** 7):
-    """|A^k| / |A| <= (|A^3| / |A|)^(k-2), checked as an exact integer
-    inequality |A^k| |A|^(k-3) <= |A^3|^(k-2)."""
+    """The Ruzsa inequality of `ruzsa_sides` on the ball of A."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    series = ball_series(A, k, cap=cap)
-    a1 = series.size_at(1)
-    a3 = series.size_at(3)
-    ak = series.size_at(k)
-    lhs = ak * a1 ** (k - 3)
-    rhs = a3 ** (k - 2)
+    ball = ball_series(A, k, cap=cap)
+    lhs, rhs = ruzsa_sides(ball, k)
     return {
         "k": k,
-        "sizes": series.sizes,
+        "sizes": [ball.size_at(t) for t in range(1, k + 1)],
         "lhs": lhs,
         "rhs": rhs,
         "pass": lhs <= rhs,
@@ -168,18 +159,12 @@ def ruzsa_check(A, k, cap=10 ** 7):
 
 def olson_check(A, cap=10 ** 7):
     """Either A^3 = G or |A^3| >= 2 |A|."""
-    ball = bfs.closure(A.F, A.spec.N, A.mats, cap=cap)
-    order = groups.group_order(A.spec, A.F.q)
-    if len(ball) != order:
-        raise NotGenerating("Olson's dichotomy needs a generating set")
-    series = BallSeries(ball.sizes, ball.saturated_at)
-    a1, a3 = series.size_at(1), series.size_at(3)
-    branch1 = a3 == order
-    branch2 = a3 >= 2 * a1
+    ball = generating_ball(A, cap)
+    branch1, branch2 = olson_branches(ball, len(ball))
     return {
-        "|A|": a1,
-        "|A^3|": a3,
-        "order": order,
+        "|A|": ball.size_at(1),
+        "|A^3|": ball.size_at(3),
+        "order": len(ball),
         "branch_A3_is_G": branch1,
         "branch_doubling": branch2,
         "pass": branch1 or branch2,
@@ -222,15 +207,14 @@ def np_check(A, cap=10 ** 7):
     if size < threshold:
         return {"|A|": size, "threshold": threshold, "skipped": True,
                 "pass": True, "note": "precondition |A| >= threshold fails"}
-    series = ball_series(A, 3, cap=cap)
+    a3 = ball_series(A, 3, cap=cap).size_at(3)
     order = groups.group_order(spec, F.q)
-    ok = series.size_at(3) == order
-    if not ok:
+    if a3 != order:
         raise TheoremViolation(
             "|A| = {} >= {} but |A^3| = {} < |G| = {}".format(
-                size, threshold, series.size_at(3), order))
+                size, threshold, a3, order))
     return {"|A|": size, "threshold": threshold, "skipped": False,
-            "|A^3|": series.size_at(3), "order": order, "pass": True}
+            "|A^3|": a3, "order": order, "pass": True}
 
 
 def _target_membership(A, target, cap):
@@ -240,7 +224,7 @@ def _target_membership(A, target, cap):
     N = spec.N
     kind = target[0]
     if kind == "class":
-        g = tuple(target[1])
+        g = groups.GroupElement(spec, F, target[1]).mat  # validates membership
         keys = classify.conjugacy_class(F, N, g, A.mats, cap=cap)
         return keys, spec.dim - spec.r, "class"
     if kind in ("torus", "torus_nonrs"):
@@ -268,10 +252,10 @@ def intersect_count(A, t, target, cap=10 ** 7):
     """Exact |A^t ∩ target| plus the log-space dimensional-estimate bound and
     the measured exponent log|A^t ∩ V| / log|A^t|."""
     spec, F = A.spec, A.F
-    ball = bfs.closure(F, spec.N, A.mats, cap=cap, t_max=t)
+    ball = ball_series(A, t, cap=cap)
     membership, dim_v, label = _target_membership(A, target, cap)
     count = int((_hits(ball, membership) & (ball.depth_array() <= t)).sum())
-    ball_size = ball.sizes[min(t, len(ball.sizes)) - 1]
+    ball_size = ball.size_at(t)
     r = spec.r
     if label in ("torus", "torus_nonrs") and r >= 2:
         c1, c2, c1_full = constants.torus_constants(r, t)
@@ -303,15 +287,9 @@ def growth_dichotomy_check(A, l, cap=10 ** 7):
     saturation at some finite index; branch 1 is evaluated honestly with
     |A^m| = |G| once m is past saturation.
     """
-    spec, F = A.spec, A.F
-    ball = bfs.closure(F, spec.N, A.mats, cap=cap)
-    order = groups.group_order(spec, F.q)
-    if len(ball) != order:
-        raise NotGenerating("dichotomy check needs a generating set")
-    series = BallSeries(ball.sizes, ball.saturated_at)
-    sat = ball.saturated_at
-    al = series.size_at(l)
-    pairs = constants.growth_pairs(spec.r, l)
+    ball = generating_ball(A, cap)
+    order, sat, al = len(ball), ball.saturated_at, ball.size_at(l)
+    pairs = constants.growth_pairs(A.spec.r, l)
     results = []
     for m, eps in pairs:
         # m is astronomically larger than the saturation index
@@ -340,17 +318,14 @@ def growth_dichotomy_check(A, l, cap=10 ** 7):
 
 def series_csv(A, t_max, target=None, cap=10 ** 7):
     """CSV lines 't,ball_size,target_count' for the growth subcommand."""
-    spec, F = A.spec, A.F
-    ball = bfs.closure(F, spec.N, A.mats, cap=cap, t_max=t_max)
+    ball = ball_series(A, t_max, cap=cap)
     membership = None
     if target is not None:
         membership, _, _ = _target_membership(A, target, cap)
     lines = ["t,ball_size,target_count"]
-    sizes = ball.sizes
     if membership is not None:
         depths = ball.depth_array()[_hits(ball, membership)]
     for t in range(1, t_max + 1):
-        size = sizes[t - 1] if t - 1 < len(sizes) else sizes[-1]
         tc = "" if membership is None else int((depths <= t).sum())
-        lines.append("{},{},{}".format(t, size, tc))
+        lines.append("{},{},{}".format(t, ball.size_at(t), tc))
     return "\n".join(lines) + "\n"

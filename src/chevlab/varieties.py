@@ -7,7 +7,7 @@ the point-count report checks them against the |V(F_q)| <= D q^d bound.
 
 from __future__ import annotations
 
-import os
+import itertools
 import re
 
 from .errors import AmbientMismatch, AmbientTooLarge, ArityMismatch
@@ -143,46 +143,13 @@ class VarietySpec:
             self.ambient, self.declared_dim, self.declared_deg, len(self.polys))
 
 
-def _count_range(V, F, lo, hi):
-    """Count points whose odometer index lies in [lo, hi)."""
-    m = V.ambient
-    q = F.q
-    count = 0
-    point = [0] * m
-    for idx in range(lo, hi):
-        v = idx
-        for i in range(m - 1, -1, -1):
-            point[i] = v % q
-            v //= q
-        if V.contains(point):
-            count += 1
-    return count
-
-
-def point_count(V, F, cap=10 ** 8, workers=None):
-    """Exact |V(F_q)| by exhaustive odometer scan, with the D q^d report.
-
-    workers defaults to the CHEVLAB_WORKERS environment variable (or 1); the
-    count is a deterministic in-order sum, so the worker count never changes
-    the result, only the wall time.
-    """
+def point_count(V, F, cap=10 ** 8):
+    """Exact |V(F_q)| by one in-order odometer scan of F_q^ambient (the last
+    coordinate turning fastest), with the D q^d report."""
     total = F.q ** V.ambient
     if total > cap:
         raise AmbientTooLarge("q^ambient = {} exceeds cap {}".format(total, cap))
-    if workers is None:
-        workers = int(os.environ.get("CHEVLAB_WORKERS", "1"))
-    workers = max(1, int(workers))
-    bounds = [total * i // workers for i in range(workers + 1)]
-    chunks = [(bounds[i], bounds[i + 1]) for i in range(workers)]
-    if workers == 1:
-        partials = [_count_range(V, F, 0, total)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda c: _count_range(V, F, *c), chunks))
-    count = 0
-    for part in partials:  # deterministic in-order sum
-        count += part
+    count = sum(map(V.contains, itertools.product(range(F.q), repeat=V.ambient)))
     bound = V.declared_deg * F.q ** V.declared_dim
     return {
         "count": count,
@@ -236,6 +203,10 @@ def variety_loads(F, text):
     if not lines:
         raise ValueError("empty variety file")
     header = dict(kv.split("=") for kv in lines[0].split())
+    missing = [key for key in ("ambient", "dim", "deg") if key not in header]
+    if missing:
+        raise ValueError("variety header lacks {}".format(
+            ", ".join(key + "=" for key in missing)))
     ambient = int(header["ambient"])
     polys = [poly_parse(F, ambient, ln) for ln in lines[1:]]
     return VarietySpec(ambient, polys, int(header["dim"]), int(header["deg"]))

@@ -90,6 +90,22 @@ def test_closure_matches_reference_on_random_sets(q, s, seed, t_max, cap_at, cap
     _assert_matches_reference(F, 2, gens, cap=cap, t_max=t_max)
 
 
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from(sorted(_FIELDS)), s=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32), t_max=st.one_of(st.none(), st.integers(1, 5)))
+def test_size_at_holds_the_reference_series(q, s, seed, t_max):
+    F = _FIELDS[q]
+    spec = groups.GroupSpec("SL", 2)
+    gens = growth.GenSet.random_symmetric(spec, F, s, random.Random(seed)).mats
+    ball = bfs.closure(F, 2, gens, t_max=t_max)
+    sizes = reference_closure(F, 2, gens, t_max=t_max)[1]
+    padded = sizes + [sizes[-1]] * 12
+    assert [ball.size_at(t) for t in range(1, 13)] == padded[:12]
+    for t in (0, -1):
+        with pytest.raises(ValueError):
+            ball.size_at(t)
+
+
 def test_void_key_path_matches_reference():
     # 5^36 >= 2^63, so Sp(6,5) keys are byte strings
     spec = groups.GroupSpec("Sp", 3)
@@ -131,6 +147,8 @@ def test_t_max_truncation():
     ball = bfs.closure(F, 2, gens, t_max=3)
     assert ball.sizes == [5, 17, 43]
     assert ball.saturated_at is None
+    with pytest.raises(ValueError):
+        bfs.closure(F, 2, gens, t_max=0)
 
 
 def test_cap_enforced():

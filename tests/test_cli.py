@@ -108,6 +108,29 @@ def test_subset_larger_than_group_is_usage_error(capsys):
     assert "order 336" in capsys.readouterr().err
 
 
+_SL27 = ["--group", "SL", "--n", "2", "--q", "7"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["escape"] + _SL27 + ["--variety", "dim=2; x1-1", "--point", "1,0,0,1"],
+    ["escape"] + _SL27 + ["--variety", "ambient=4 deg=1; x1-1", "--point", "1,0,0,1"],
+    ["escape"] + _SL27 + ["--variety", "ambient=4 dim=2; x1-1", "--point", "1,0,0,1"],
+    ["growth"] + _SL27 + ["--t-max", "0"],
+    ["growth"] + _SL27 + ["--t-max", "-1", "--format", "csv"],
+    ["growth"] + _SL27 + ["--t-max", "0", "--target", "torus"],
+    ["growth"] + _SL27 + ["--target", "class:1,0,0,2"],  # det 2: not in SL_2
+    ["growth"] + _SL27 + ["--target", "class:1,0,0,2", "--format", "csv"],
+    ["growth"] + _SL27 + ["--target", "class:1,2"],
+    ["growth"] + _SL27 + ["--target", "class:1,2", "--format", "csv"],
+])
+def test_malformed_input_is_usage_error(argv, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_byte_identical_reports(capsys):
     argv = ["torus-cert", "--group", "Sp", "--n", "2", "--q", "7",
             "--eta", "0,1", "--seed", "9"]

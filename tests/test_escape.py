@@ -1,9 +1,11 @@
+import bisect
 import math
 import random
 
 import pytest
+from test_bfs import reference_closure
 
-from chevlab import bfs, escape, gf, groups, varieties
+from chevlab import bfs, classify, escape, gf, groups, growth, linalg, varieties
 from chevlab.errors import NoEscapeWithinBall
 
 
@@ -127,7 +129,6 @@ def test_shitov_intermediate_envelope():
 
 
 def test_find_regular_semisimple():
-    from chevlab import classify
     spec = groups.GroupSpec("SL", 2)
     F = gf.make_field(7)
     gens = groups.standard_generators(spec, F)
@@ -144,3 +145,62 @@ def test_escape_point_closes_the_ball_once(monkeypatch):
     cert = escape.escape_point(inst)
     assert len(calls) == 1
     assert cert.verified_noncontainment is True
+
+
+def _brute_force_witness(F, N, gens, hit):
+    """(least depth, then least mat_ser) over the reference closure, or None."""
+    elements, sizes, _ = reference_closure(F, N, gens)
+    # sizes[t - 1] = |A^t|, so element i > 0 has depth 1 + #{t : |A^t| <= i}
+    found = [(bisect.bisect_right(sizes, i) + 1 if i else 0,
+              linalg.mat_ser(F, N, g), g)
+             for i, g in enumerate(elements) if hit(g)]
+    return min(found)[::2] if found else None
+
+
+def _as_found(search):
+    try:
+        cert = search()
+    except NoEscapeWithinBall:
+        return None
+    return cert.k_found, cert.witness
+
+
+def _vanishing_at(F, terms, x):
+    """The polynomial with these terms, less its value at x, over 4 variables."""
+    shift = varieties.Poly(F, 4, terms).evaluate(x)
+    terms = dict(terms)
+    terms[(0, 0, 0, 0)] = F.sub(terms.get((0, 0, 0, 0), 0), shift)
+    return varieties.Poly(F, 4, terms)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_witness_searches_match_brute_force(q):
+    spec = groups.GroupSpec("SL", 2)
+    F = gf.make_field(*gf.factor_prime_power(q))
+    rng = random.Random(50_000 + q)
+    for _ in range(6):
+        gens = growth.GenSet.random_symmetric(spec, F, 1 + rng.randrange(3), rng).mats
+        terms = {}
+        for _ in range(2):
+            exps = [0, 0, 0, 0]
+            for _ in range(rng.randrange(1, 3)):
+                exps[rng.randrange(4)] += 1
+            terms[tuple(exps)] = rng.randrange(1, q)
+        point = groups.random_group_element(spec, F, rng)
+        # vanishing at the point (and at the identity for the element route)
+        # keeps depth 0 from answering every search
+        P = _vanishing_at(F, terms, point)
+        V = varieties.VarietySpec(4, [P], 3, max(P.total_degree, 1))
+        for action in escape.ACTIONS:
+            inst = escape.EscapeInstance(F, 2, gens, V, point, action)
+            want = _brute_force_witness(
+                F, 2, gens, lambda g: not V.contains(inst.act(g)))
+            assert _as_found(lambda: escape.escape_point(inst)) == want
+        P = _vanishing_at(F, terms, linalg.identity(2))
+        V = varieties.VarietySpec(4, [P], 3, max(P.total_degree, 1))
+        inst = escape.EscapeInstance(F, 2, gens, V, point, "left_multiplication")
+        want = _brute_force_witness(F, 2, gens, lambda g: P.evaluate(g) != 0)
+        assert _as_found(lambda: escape.shitov_escape(inst)) == want
+        want = _brute_force_witness(
+            F, 2, gens, lambda g: classify.is_regular_semisimple(F, 2, g))
+        assert _as_found(lambda: escape.find_regular_semisimple(F, spec, gens)) == want

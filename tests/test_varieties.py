@@ -34,15 +34,6 @@ def test_point_count_det_variety_matches_group_order():
         assert rep["pass"]  # |V| <= D q^d = 2 q^3
 
 
-def test_point_count_worker_independence():
-    F = gf.make_field(5)
-    P = varieties.poly_parse(F, 4, "x1*x4-x2*x3-1")
-    V = varieties.VarietySpec(4, [P], 3, 2)
-    counts = {varieties.point_count(V, F, workers=w)["count"]
-              for w in (1, 2, 3, 8)}
-    assert counts == {120}
-
-
 def test_point_count_cap():
     F = gf.make_field(11)
     P = varieties.poly_parse(F, 6, "x1")
