@@ -2,23 +2,31 @@
 regular semisimplicity, centralizers, conjugacy classes, and the
 non-regular-semisimple subtorus catalogue.
 
-Polynomials over a field are coefficient lists of encodings, low degree
-first.  The characteristic polynomial is computed exactly by Hessenberg
-reduction (similarity transforms + the standard recurrence), which only ever
-divides by nonzero pivots and so works over any field.  Discriminants come
-from resultants, which Euclid's algorithm computes on top of `poly_mod`.
+Polynomials are coefficient lists of encodings, low degree first.  One numpy
+kernel, `charpoly_disc`, maps an (M, N, N) batch of matrices (a single one is
+a batch of one) to char polys and discriminants with ring operations only:
+  * a matrix over GF(p^e) enters through its regular representation
+    (`bfs._regular`), a ring map into (N e, N e) matrices over F_p, so every
+    field product is an int64 matmul mod p, and F_p is the case e = 1;
+  * Berkowitz's division-free algorithm gives det(x Id - A);
+  * disc f = (-1)^(N(N-1)/2) det Syl(f, f'), the Sylvester matrix of f and
+    f' at formal degree N-1, whose determinant is -1 times the constant
+    coefficient of its own Berkowitz char poly (it has odd size 2N-1).
+Entries stay below p, so a matmul sums < 2N e terms below p^2 < 2^40: no
+int64 overflow for q <= 2^20.  Rows run in slabs of _BLOCK, so memory does
+not grow with M.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
+import numpy as np
+
 from . import bfs, linalg
-from .errors import (
-    GroupTooLarge,
-    InvariantViolation,
-    TheoremViolation,
-    TorusTooLarge,
-)
-from .gf import factor_prime_power
+from .errors import InvariantViolation, TheoremViolation, TorusTooLarge
+
+_BLOCK = 4096  # kernel rows per slab
 
 
 # --- polynomial helpers over a FieldSpec ---
@@ -28,32 +36,6 @@ def poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_add(F, a, b):
-    n = max(len(a), len(b))
-    return poly_trim([F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-                      for i in range(n)])
-
-
-def poly_scale(F, c, a):
-    return poly_trim([F.mul(c, x) for x in a])
-
-
-def poly_sub(F, a, b):
-    return poly_add(F, a, poly_scale(F, F.neg(1), b))
-
-
-def poly_mul(F, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return poly_trim(out)
 
 
 def poly_mod(F, a, b):
@@ -74,106 +56,90 @@ def poly_gcd(F, a, b):
     a, b = poly_trim(a), poly_trim(b)
     while b:
         a, b = b, poly_mod(F, a, b)
-    if a:
-        a = poly_scale(F, F.inv(a[-1]), a)
-    return a
+    return [F.mul(F.inv(a[-1]), x) for x in a] if a else a
 
 
 def poly_deriv(F, a):
     return poly_trim([F.mul(F.from_int(i), a[i]) for i in range(1, len(a))])
 
 
-def resultant(F, a, b):
-    """Resultant of two polynomials (actual degrees) by Euclid's algorithm:
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), r = a mod b,
-    down to Res(a, c) = c^(deg a) for a constant c."""
-    a, b = poly_trim(a), poly_trim(b)
-    if not a or not b:
-        return 0
-    res = 1
-    while len(b) > 1:
-        r = poly_mod(F, a, b)
-        if not r:
-            return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = F.neg(res)
-        res = F.mul(res, F.pow(b[-1], len(a) - len(r)))
-        a, b = b, r
-    return F.mul(res, F.pow(b[0], len(a) - 1))
+# --- the char-poly and discriminant kernel ---
+
+def _berkowitz(F, A):
+    """det(x Id - A) for an (M, n e, n e) batch of regular representations,
+    as the (M, n + 1, e, e) blocks of its coefficients, high degree first.
+
+    Step k borders the leading k x k block B by column c, row r and corner a;
+    the polynomial so far is multiplied by the lower-triangular Toeplitz
+    matrix whose first column is (1, -a, -r c, -r B c, ..., -r B^(k-1) c)."""
+    p, e = F.p, F.e
+    M, n = len(A), A.shape[1] // e
+    poly = one = np.broadcast_to(np.eye(e, dtype=np.int64), (M, e, e))
+    for k in range(n):
+        b, lead = slice(k * e, (k + 1) * e), slice(0, k * e)
+        col = [one, -A[:, b, b] % p]
+        if k:
+            krylov = [A[:, lead, b]]
+            for _ in range(k - 1):
+                krylov.append(A[:, lead, lead] @ krylov[-1] % p)
+            col += np.split(-(A[:, b, lead] @ np.concatenate(krylov, axis=2)) % p,
+                            k, axis=2)
+        gap = np.arange(k + 2)[:, None] - np.arange(k + 1)
+        T = np.stack(col, axis=1)[:, gap.clip(0)] * (gap >= 0)[:, :, None, None]
+        poly = T.swapaxes(2, 3).reshape(M, (k + 2) * e, (k + 1) * e) @ poly % p
+    return poly.reshape(M, n + 1, e, e)
 
 
-def poly_disc(F, coeffs):
-    """Discriminant of a monic polynomial: (-1)^{n(n-1)/2} Res(p, p')."""
-    coeffs = poly_trim(coeffs)
-    n = len(coeffs) - 1
-    deriv = poly_deriv(F, coeffs)
-    if not deriv:
-        return 0
-    res = resultant(F, coeffs, deriv)
-    if (n * (n - 1) // 2) % 2:
-        res = F.neg(res)
-    return res
+def _encode(F, blocks):
+    """Field encodings of regular-representation blocks: row 0 of the block
+    of y holds the F_p coordinates of y."""
+    return blocks[..., 0, :] @ F.p ** np.arange(F.e)
 
 
-# --- characteristic polynomial ---
+def charpoly_disc(F, X):
+    """Char polys and discriminants of an (M, N, N) int64 batch of field
+    encodings: (M, N + 1) coefficients, low degree first, and (M,) discs."""
+    p, e = F.p, F.e
+    M, N = X.shape[0], X.shape[1]
+    n2 = 2 * N - 1
+    # Sylvester rows: N - 1 shifts of f, then N shifts of f' (high degree
+    # first), picked from the blocks [f (N + 1), f' (N), 0]
+    pick = np.full((n2, n2), 2 * N + 1)
+    for i in range(N - 1):
+        pick[i, i:i + N + 1] = np.arange(N + 1)
+    for i in range(N):
+        pick[N - 1 + i, i:i + N] = np.arange(N + 1, 2 * N + 1)
+    deriv = (np.arange(N, 0, -1) % p)[:, None, None]
+    coeffs, discs = [np.zeros((0, N + 1), np.int64)], [np.zeros(0, np.int64)]
+    for start in range(0, M, _BLOCK):
+        f = _berkowitz(F, bfs._regular(F, X[start:start + _BLOCK]))
+        pool = np.concatenate([f, f[:, :-1] * deriv % p, np.zeros_like(f[:, :1])], 1)
+        syl = pool[:, pick].swapaxes(2, 3).reshape(len(f), n2 * e, n2 * e)
+        c0 = _berkowitz(F, syl)[:, -1]
+        coeffs.append(_encode(F, f[:, ::-1]))
+        discs.append(_encode(F, c0 if N * (N - 1) // 2 % 2 else -c0 % p))
+    return np.concatenate(coeffs), np.concatenate(discs)
+
+
+def nonrs_mask(F, X):
+    """Which matrices of an (M, N, N) batch are not regular semisimple."""
+    return charpoly_disc(F, X)[1] == 0
+
 
 def char_poly(F, N, mat):
-    """Monic char poly det(x Id - mat), coefficients low degree first."""
-    H = linalg.to_rows(N, mat)
-    # similarity reduction to upper Hessenberg form
-    for j in range(N - 2):
-        piv = None
-        for i in range(j + 1, N):
-            if H[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != j + 1:
-            H[j + 1], H[piv] = H[piv], H[j + 1]
-            for row in H:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        inv_p = F.inv(H[j + 1][j])
-        for i in range(j + 2, N):
-            if H[i][j]:
-                f = F.mul(H[i][j], inv_p)
-                H[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(H[i], H[j + 1])]
-                for row in H:
-                    row[j + 1] = F.add(row[j + 1], F.mul(f, row[i]))
-    # recurrence on leading principal minors of x Id - H
-    polys = [[1]]
-    for m in range(1, N + 1):
-        # (x - H[m-1][m-1]) * p_{m-1}
-        prev = polys[m - 1]
-        term = poly_sub(F, poly_mul(F, [0, 1], prev),
-                        poly_scale(F, H[m - 1][m - 1], prev))
-        # subtract H[i-1][m-1] * (prod of subdiagonals H[k+1][k], k=i-1..m-2) * p_{i-1}
-        sub_prod = 1
-        for i in range(m - 1, 0, -1):
-            sub_prod = F.mul(sub_prod, H[i][i - 1])
-            coeff = F.mul(H[i - 1][m - 1], sub_prod)
-            if coeff:
-                term = poly_sub(F, term, poly_scale(F, coeff, polys[i - 1]))
-        polys.append(term)
-    out = polys[N]
-    out = out + [0] * (N + 1 - len(out))
-    return tuple(out)
+    """Monic char poly det(x Id - mat), coefficients low degree first: the
+    kernel's Berkowitz stage on a batch of one."""
+    blocks = _berkowitz(F, bfs._regular(F, bfs.as_array(F, N, mat)))
+    return tuple(_encode(F, blocks[0, ::-1]).tolist())
 
 
-class CharPolyData:
-    """Monic characteristic polynomial with its discriminant."""
-
-    def __init__(self, F, coeffs):
-        self.F = F
-        self.coeffs = tuple(coeffs)
-        self.disc = poly_disc(F, list(coeffs))
-
-    def __repr__(self):
-        return "CharPolyData(coeffs={}, disc={})".format(self.coeffs, self.disc)
+# monic characteristic polynomial (low degree first) with its discriminant
+CharPolyData = namedtuple("CharPolyData", "coeffs disc")
 
 
 def char_poly_data(F, N, mat):
-    return CharPolyData(F, char_poly(F, N, mat))
+    coeffs, disc = charpoly_disc(F, bfs.as_array(F, N, mat))
+    return CharPolyData(tuple(coeffs[0].tolist()), int(disc[0]))
 
 
 def is_regular_semisimple(F, N, mat, crosscheck=False):
@@ -303,8 +269,7 @@ def count_nonrs_in_torus(spec, F, t_elements, cap=10 ** 6):
     if len(t_elements) > cap:
         raise TorusTooLarge("torus has {} points, cap {}".format(
             len(t_elements), cap))
-    N = spec.N
-    return sum(1 for m in t_elements if not is_regular_semisimple(F, N, m))
+    return int(nonrs_mask(F, bfs.as_array(F, spec.N, t_elements)).sum())
 
 
 def count_nonrs_by_catalogue(spec, F, t_elements):
@@ -316,8 +281,7 @@ def count_nonrs_by_catalogue(spec, F, t_elements):
 
 def nonrs_count_in_group(F, N, universe):
     """Non-rs element count over a full materialized Ball."""
-    return sum(1 for m in universe.mats()
-               if not is_regular_semisimple(F, N, m))
+    return int(nonrs_mask(F, universe.elements).sum())
 
 
 def classification_record(F, N, mat):

@@ -82,6 +82,8 @@ def _parse_eta(text):
 def _genset(args, spec, F):
     if args.gens == "standard":
         return growth.GenSet.standard(spec, F)
+    if args.size < 0:
+        raise ValueError("--size must be >= 0, got {}".format(args.size))
     rng = random.Random(args.seed)
     if args.gens == "random":
         return growth.GenSet.random_symmetric(spec, F, args.size, rng)

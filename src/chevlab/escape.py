@@ -96,17 +96,17 @@ class EscapeCertificate:
         return "EscapeCertificate(k={}, bound={})".format(self.k_found, self.bound)
 
 
-def _shortest_witness(F, N, gens, cap, hit, nothing):
-    """(k, g): the least word length k of an element g with hit(g), and the
-    least such g at k by mat_ser.  The closure of gens saturates or raises
-    BallCapExceeded, so when no element hits, none of the generated group
-    does: that raises NoEscapeWithinBall(nothing)."""
+def _shortest_witness(F, N, gens, cap, hits, nothing):
+    """(k, g): the least word length k of an element g that `hits` (a mask of
+    a layer's flat matrices) marks, and the least such g at k by mat_ser.
+    The closure of gens saturates or raises BallCapExceeded, so when no
+    element hits, none of the generated group does: NoEscapeWithinBall."""
     ball = bfs.closure(F, N, gens, cap=cap)
     for k in range(len(ball.offsets) - 1):
-        hits = [g for g in map(tuple, ball.layer(k).reshape(-1, N * N).tolist())
-                if hit(g)]
-        if hits:
-            return k, min(hits, key=lambda g: linalg.mat_ser(F, N, g))
+        layer = list(map(tuple, ball.layer(k).reshape(-1, N * N).tolist()))
+        found = [g for g, hit in zip(layer, hits(layer)) if hit]
+        if found:
+            return k, min(found, key=lambda g: linalg.mat_ser(F, N, g))
     raise NoEscapeWithinBall(nothing)
 
 
@@ -122,7 +122,7 @@ def escape_point(inst, cap=10 ** 6):
     ball, so it also proves that the orbit leaves the variety."""
     k, witness = _shortest_witness(
         inst.F, inst.N, inst.generators, cap,
-        lambda g: not inst.variety.contains(inst.act(g)),
+        lambda gs: [not inst.variety.contains(inst.act(g)) for g in gs],
         "the whole orbit lies inside the variety")
     bound = escape_bound(inst.variety.declared_dim, inst.variety.declared_deg)
     if k > bound["exact"]:
@@ -224,7 +224,7 @@ def shitov_escape(inst, cap=10 ** 6):
     D = max(max(P.total_degree for P in V.polys), 1)
     k, witness = _shortest_witness(
         F, N, inst.generators, cap,
-        lambda g: any(P.evaluate(g) != 0 for P in V.polys),
+        lambda gs: [any(P.evaluate(g) != 0 for P in V.polys) for g in gs],
         "generated subgroup lies inside the variety")
     if float(k) >= 11 * D * (N + 1) ** D * math.log(N):
         raise TheoremViolation("Shitov bound violated")
@@ -243,7 +243,7 @@ def find_regular_semisimple(F, spec, generators, cap=10 ** 6):
     N, r = spec.N, spec.r
     k, witness = _shortest_witness(
         F, N, generators, cap,
-        lambda g: classify.is_regular_semisimple(F, N, g),
+        lambda gs: ~classify.nonrs_mask(F, bfs.as_array(F, N, gs)),
         "no regular semisimple element in the generated subgroup")
     bound = LogScaled.power(2 * r, 4 * r * r + 3 * r)
     if LogScaled.from_exact(max(k, 1)).cmp(bound) > 0:

@@ -349,6 +349,7 @@ def torus_points(spec, F, eta=(), cap=10 ** 7):
     eta, when nonempty, imposes the multiplicative cut prod x_i^eta_i = 1;
     supported for the diagonal families (SL, Sp) only.
     """
+    eta = TorusSpec(spec, eta).eta  # checks its length and eta_n != 0
     n = spec.nparams
     N = spec.N
     units = [a for a in range(1, F.q)]

@@ -218,8 +218,8 @@ def np_check(A, cap=10 ** 7):
 
 
 def _target_membership(A, target, cap):
-    """Return (sorted key array or predicate, dim_V, label) for an
-    intersection target.  Keys are those of bfs.pack, as Ball.key_of makes."""
+    """Return (sorted bfs.pack keys, or None for the non-rs locus, dim_V,
+    label) for an intersection target."""
     spec, F = A.spec, A.F
     N = spec.N
     kind = target[0]
@@ -229,23 +229,23 @@ def _target_membership(A, target, cap):
         return keys, spec.dim - spec.r, "class"
     if kind in ("torus", "torus_nonrs"):
         eta = tuple(target[1]) if len(target) > 1 and target[1] else ()
-        pts = groups.torus_points(spec, F, eta, cap=cap)
+        pts = bfs.as_array(F, N, groups.torus_points(spec, F, eta, cap=cap))
         if kind == "torus_nonrs":
-            pts = [m for m in pts
-                   if not classify.is_regular_semisimple(F, N, m)]
+            pts = pts[classify.nonrs_mask(F, pts)]
         dim_v = spec.r if not eta else spec.r - 1
         return bfs.keys_of(F, N, pts), dim_v, kind
     if kind == "nonrs":
-        return (lambda m: not classify.is_regular_semisimple(F, N, m)), \
-            spec.dim - 1, "nonrs"
+        return None, spec.dim - 1, "nonrs"
     raise ValueError("unknown target {!r}".format(target))
 
 
-def _hits(ball, membership):
-    """Mask over the ball's elements (BFS order) of those on the target."""
-    if callable(membership):
-        return np.fromiter(map(membership, ball.mats()), dtype=bool, count=len(ball))
-    return np.isin(bfs.pack(ball.F, ball.N, ball.elements), membership)
+def _hits(ball, keys):
+    """Mask over the ball's elements (BFS order) of those on the target: the
+    target's sorted keys, or None for the non-rs locus, which the char-poly
+    kernel tests directly."""
+    if keys is None:
+        return classify.nonrs_mask(ball.F, ball.elements)
+    return np.isin(bfs.pack(ball.F, ball.N, ball.elements), keys)
 
 
 def intersect_count(A, t, target, cap=10 ** 7):
@@ -319,13 +319,11 @@ def growth_dichotomy_check(A, l, cap=10 ** 7):
 def series_csv(A, t_max, target=None, cap=10 ** 7):
     """CSV lines 't,ball_size,target_count' for the growth subcommand."""
     ball = ball_series(A, t_max, cap=cap)
-    membership = None
     if target is not None:
-        membership, _, _ = _target_membership(A, target, cap)
+        keys, _, _ = _target_membership(A, target, cap)
+        depths = ball.depth_array()[_hits(ball, keys)]
     lines = ["t,ball_size,target_count"]
-    if membership is not None:
-        depths = ball.depth_array()[_hits(ball, membership)]
     for t in range(1, t_max + 1):
-        tc = "" if membership is None else int((depths <= t).sum())
+        tc = "" if target is None else int((depths <= t).sum())
         lines.append("{},{},{}".format(t, ball.size_at(t), tc))
     return "\n".join(lines) + "\n"

@@ -150,7 +150,3 @@ def mat_parse(F, n, text):
     if len(parts) != n * n:
         raise ShapeMismatch("expected {} entries, got {}".format(n * n, len(parts)))
     return tuple(F.parse(part) for part in parts)
-
-
-def to_rows(n, mat):
-    return [list(mat[i * n:(i + 1) * n]) for i in range(n)]

@@ -6,9 +6,12 @@ appendix recursions need height 2 because even the logarithm of
 (2D)^(2^(14 d r^4)) overflows a double for moderate r.
 
 When the value is also representable as an exact big integer under a size cap
-it is carried along; exact-vs-log agreement within 1e-9 relative slack is an
-invariant.  Comparisons refuse to decide within a 1e-6 relative slack band
-(returning 0 / raising Indeterminate), unless both sides are exact.
+it is carried along, and built on the first read of `exact`.  Whether there
+is one is decided from bit-length bounds that the log gives; only bounds that
+straddle the cap build it early.  Exact-vs-log agreement within 1e-9 relative
+slack is an invariant, checked whenever an integer is built.  Comparisons
+refuse to decide within a 1e-6 relative slack band (returning 0 / raising
+Indeterminate), unless both sides are exact.
 """
 
 from __future__ import annotations
@@ -23,20 +26,44 @@ REL_SLACK = 1e-6
 
 
 class LogScaled:
-    __slots__ = ("height", "top", "exact")
+    __slots__ = ("height", "top", "_exact", "_build")
 
-    def __init__(self, height, top, exact=None):
+    def __init__(self, height, top, exact=None, build=None):
         if height < 0:
             raise ValueError("height must be >= 0")
         self.height = height
         self.top = float(top)
-        self.exact = exact
+        self._exact = None
+        self._build = build
+        if (exact is not None or build is not None) and height != 1:
+            raise ValueError("exact integers only make sense at height 1")
         if exact is not None:
-            if height != 1:
-                raise ValueError("exact integers only make sense at height 1")
-            lnx = _ln_big(exact)
-            if abs(lnx - self.top) > 1e-9 * max(1.0, abs(self.top)):
-                raise ValueError("exact/log disagreement beyond slack")
+            self._set(exact)
+
+    def _set(self, n):
+        lnx = _ln_big(n)
+        if abs(lnx - self.top) > 1e-9 * max(1.0, abs(self.top)):
+            raise ValueError("exact/log disagreement beyond slack")
+        self._exact = n
+
+    @property
+    def exact(self):
+        """The exact integer, built on first read, or None."""
+        if self._build is not None:
+            self._set(self._build())
+            self._build = None
+        return self._exact
+
+    def _has_exact(self):
+        return self._exact is not None or self._build is not None
+
+    def _bits(self):
+        """Bounds (lo, hi) on the bit length of the exact integer: from the log
+        within the agreement slack, or the bit length itself once built."""
+        if self._exact is not None:
+            return self._exact.bit_length(), self._exact.bit_length()
+        x, eps = self.top / math.log(2), 2e-9 * max(1.0, abs(self.top)) / math.log(2)
+        return math.floor(x - eps) + 1, math.floor(x + eps) + 1
 
     # --- constructors ---
 
@@ -67,13 +94,11 @@ class LogScaled:
         """base ** exponent with base an int > 0 and exponent int/Fraction."""
         if base <= 0:
             raise ValueError("base must be positive")
-        lnv = float(exponent) * _ln_big(base)
-        exact = None
-        if isinstance(exponent, int) and exponent >= 0:
-            bits = exponent * base.bit_length()
-            if bits <= EXACT_BIT_CAP:
-                exact = base ** exponent
-        return LogScaled.from_ln(lnv, exact)
+        build = None
+        if (isinstance(exponent, int) and exponent >= 0
+                and exponent * base.bit_length() <= EXACT_BIT_CAP):
+            build = lambda: base ** exponent
+        return LogScaled(1, float(exponent) * _ln_big(base), build=build)
 
     # --- views ---
 
@@ -103,7 +128,7 @@ class LogScaled:
         while h >= 2 and t < 700.0:
             t = math.exp(t)
             h -= 1
-        return LogScaled(h, t, self.exact if h == self.height else None)
+        return self if h == self.height else LogScaled(h, t)
 
     # --- arithmetic (heights 0/1 only; towers are compared, not combined) ---
 
@@ -112,43 +137,35 @@ class LogScaled:
         a, b = self.normalized(), other.normalized()
         if a.height > 1 or b.height > 1:
             raise ValueError("generic mul is not supported at tower height >= 2")
-        exact = None
-        if a.exact is not None and b.exact is not None:
-            prod = a.exact * b.exact
-            if prod.bit_length() <= EXACT_BIT_CAP:
-                exact = prod
-        return LogScaled.from_ln(a.ln_value + b.ln_value, exact)
+        return _derived(a.ln_value + b.ln_value, (a, b), lambda x, y: x * y)
 
     def add(self, other):
         other = _coerce(other)
         a, b = self.normalized(), other.normalized()
         if a.height > 1 or b.height > 1:
             raise ValueError("generic add is not supported at tower height >= 2")
-        exact = None
-        if a.exact is not None and b.exact is not None:
-            s = a.exact + b.exact
-            if s.bit_length() <= EXACT_BIT_CAP:
-                exact = s
-        return LogScaled.from_ln(_logaddexp(a.ln_value, b.ln_value), exact)
+        return _derived(_logaddexp(a.ln_value, b.ln_value), (a, b), lambda x, y: x + y)
 
     def pow(self, exponent):
         a = self.normalized()
         if a.height > 1:
             raise ValueError("generic pow is not supported at tower height >= 2")
-        exact = None
-        if a.exact is not None and isinstance(exponent, int) and exponent >= 0:
-            bits = exponent * max(a.exact.bit_length(), 1)
-            if bits <= EXACT_BIT_CAP:
-                exact = a.exact ** exponent
-        return LogScaled.from_ln(float(exponent) * a.ln_value, exact)
+        build = None
+        if a._has_exact() and isinstance(exponent, int) and exponent >= 0:
+            # the cap bounds exponent * (bit length of a), not the power's
+            lo, hi = a._bits()
+            if exponent * max(hi, 1) <= EXACT_BIT_CAP or (
+                    exponent * max(lo, 1) <= EXACT_BIT_CAP
+                    and exponent * max(a.exact.bit_length(), 1) <= EXACT_BIT_CAP):
+                build = lambda: a.exact ** exponent
+        return LogScaled(1, float(exponent) * a.ln_value, build=build)
 
     # --- comparison ---
 
-    def cmp(self, other, rel_slack=REL_SLACK):
-        """-1 / 0 / 1 with 0 meaning 'inside the slack band' (indeterminate)."""
+    def cmp(self, other):
+        """-1 / 0 / 1 with 0 meaning 'inside the slack band' (indeterminate),
+        where two exact values compare exactly."""
         other = _coerce(other)
-        if self.exact is not None and other.exact is not None:
-            return (self.exact > other.exact) - (self.exact < other.exact)
         a, b = self.normalized(), other.normalized()
         k = max(a.height, b.height, 1)
         ta = _lower(a, k)
@@ -158,10 +175,11 @@ class LogScaled:
             if ta is None and tb is None:
                 return 0
             return -1 if ta is None else 1
-        scale = max(abs(ta), abs(tb), 1.0)
-        if abs(ta - tb) <= rel_slack * scale:
-            return 0
-        return -1 if ta < tb else 1
+        if abs(ta - tb) > REL_SLACK * max(abs(ta), abs(tb), 1.0):
+            return -1 if ta < tb else 1
+        if self._has_exact() and other._has_exact():
+            return (self.exact > other.exact) - (self.exact < other.exact)
+        return 0
 
     def require_cmp(self, other, expected, context=""):
         got = self.cmp(other)
@@ -174,7 +192,7 @@ class LogScaled:
             tag = "~e^{:.6g}".format(self.ln_value)
         else:
             tag = "tower(h={}, top={:.6g})".format(self.height, self.top)
-        if self.exact is not None and self.exact.bit_length() <= 64:
+        if self._has_exact() and self._bits()[0] <= 64 and self.exact.bit_length() <= 64:
             tag += " ={}".format(self.exact)
         return "LogScaled({})".format(tag)
 
@@ -206,6 +224,24 @@ def _logaddexp(x, y):
     if x < y:
         x, y = y, x
     return x + math.log1p(math.exp(y - x))
+
+
+def _derived(lnv, parts, build):
+    """The value e^lnv, carrying build(*exacts) when every part carries an
+    exact integer and the result has at most EXACT_BIT_CAP bits.  Bit-length
+    bounds from lnv decide that; the integer is built here only when they
+    straddle the cap, and otherwise on first read."""
+    out = LogScaled.from_ln(lnv)
+    if all(x._has_exact() for x in parts):
+        make = lambda: build(*(x.exact for x in parts))
+        lo, hi = out._bits()
+        if hi <= EXACT_BIT_CAP:
+            out._build = make
+        elif lo <= EXACT_BIT_CAP:
+            n = make()
+            if n.bit_length() <= EXACT_BIT_CAP:
+                out._set(n)
+    return out
 
 
 def _lower(v, k):

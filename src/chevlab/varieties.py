@@ -202,7 +202,10 @@ def variety_loads(F, text):
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty variety file")
-    header = dict(kv.split("=") for kv in lines[0].split())
+    pairs = [kv.split("=") for kv in lines[0].split()]
+    if any(len(kv) != 2 for kv in pairs):
+        raise ValueError("malformed variety header {!r}".format(lines[0]))
+    header = dict(pairs)
     missing = [key for key in ("ambient", "dim", "deg") if key not in header]
     if missing:
         raise ValueError("variety header lacks {}".format(

@@ -1,30 +1,188 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chevlab import bfs, classify, gf, groups
+from chevlab import bfs, classify, gf, groups, linalg
+from chevlab.classify import poly_deriv, poly_mod, poly_trim
+
+
+# --- the scalar oracle: Hessenberg char polys and Euclid resultants ---
+
+def poly_add(F, a, b):
+    n = max(len(a), len(b))
+    return poly_trim([F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+                      for i in range(n)])
+
+
+def poly_scale(F, c, a):
+    return poly_trim([F.mul(c, x) for x in a])
+
+
+def poly_sub(F, a, b):
+    return poly_add(F, a, poly_scale(F, F.neg(1), b))
+
+
+def poly_mul(F, a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return poly_trim(out)
+
+
+def resultant(F, a, b):
+    """Resultant of two polynomials (actual degrees) by Euclid's algorithm:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), r = a mod b,
+    down to Res(a, c) = c^(deg a) for a constant c."""
+    a, b = poly_trim(a), poly_trim(b)
+    if not a or not b:
+        return 0
+    res = 1
+    while len(b) > 1:
+        r = poly_mod(F, a, b)
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = F.neg(res)
+        res = F.mul(res, F.pow(b[-1], len(a) - len(r)))
+        a, b = b, r
+    return F.mul(res, F.pow(b[0], len(a) - 1))
+
+
+def poly_disc(F, coeffs):
+    """Discriminant of a monic polynomial: (-1)^{n(n-1)/2} Res(p, p')."""
+    coeffs = poly_trim(coeffs)
+    n = len(coeffs) - 1
+    deriv = poly_deriv(F, coeffs)
+    if not deriv:
+        return 0
+    res = resultant(F, coeffs, deriv)
+    if (n * (n - 1) // 2) % 2:
+        res = F.neg(res)
+    return res
+
+
+def hessenberg_char_poly(F, N, mat):
+    """Monic char poly det(x Id - mat), low degree first, by similarity
+    reduction to upper Hessenberg form and the minor recurrence."""
+    H = [list(mat[i * N:(i + 1) * N]) for i in range(N)]
+    for j in range(N - 2):
+        piv = None
+        for i in range(j + 1, N):
+            if H[i][j]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != j + 1:
+            H[j + 1], H[piv] = H[piv], H[j + 1]
+            for row in H:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        inv_p = F.inv(H[j + 1][j])
+        for i in range(j + 2, N):
+            if H[i][j]:
+                f = F.mul(H[i][j], inv_p)
+                H[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(H[i], H[j + 1])]
+                for row in H:
+                    row[j + 1] = F.add(row[j + 1], F.mul(f, row[i]))
+    # recurrence on leading principal minors of x Id - H
+    polys = [[1]]
+    for m in range(1, N + 1):
+        prev = polys[m - 1]
+        term = poly_sub(F, poly_mul(F, [0, 1], prev),
+                        poly_scale(F, H[m - 1][m - 1], prev))
+        sub_prod = 1
+        for i in range(m - 1, 0, -1):
+            sub_prod = F.mul(sub_prod, H[i][i - 1])
+            coeff = F.mul(H[i - 1][m - 1], sub_prod)
+            if coeff:
+                term = poly_sub(F, term, poly_scale(F, coeff, polys[i - 1]))
+        polys.append(term)
+    out = polys[N]
+    return tuple(out + [0] * (N + 1 - len(out)))
+
+
+def oracle_disc(F, N, mat):
+    return poly_disc(F, list(hessenberg_char_poly(F, N, mat)))
 
 
 def test_poly_gcd_and_resultant_small():
     F = gf.make_field(7)
     # (x-1)(x-2) and (x-2)(x-3) share the factor (x-2)
-    a = classify.poly_mul(F, (6, 1), (5, 1))
-    b = classify.poly_mul(F, (5, 1), (4, 1))
+    a = poly_mul(F, (6, 1), (5, 1))
+    b = poly_mul(F, (5, 1), (4, 1))
     g = classify.poly_gcd(F, a, b)
     assert len(g) == 2 and F.mul(g[0], F.inv(g[1])) == 5  # monic x - 2
-    assert classify.resultant(F, a, b) == 0
-    c = classify.poly_mul(F, (6, 1), (3, 1))  # (x-1)(x-4), coprime to b
-    assert classify.resultant(F, b, c) != 0
+    assert resultant(F, a, b) == 0
+    c = poly_mul(F, (6, 1), (3, 1))  # (x-1)(x-4), coprime to b
+    assert resultant(F, b, c) != 0
 
 
 def test_discriminant_matches_root_differences():
-    # disc of (x-a)(x-b) is (a-b)^2
+    # disc of (x-a)(x-b) is (a-b)^2, from the oracle and from the kernel
     F = gf.make_field(11)
-    for a in range(11):
-        for b in range(11):
-            poly = classify.poly_mul(F, (F.neg(a), 1), (F.neg(b), 1))
-            want = F.mul(F.sub(a, b), F.sub(a, b))
-            assert classify.poly_disc(F, poly) == want
+    pairs = [(a, b) for a in range(11) for b in range(11)]
+    want = [F.mul(F.sub(a, b), F.sub(a, b)) for a, b in pairs]
+    assert [poly_disc(F, poly_mul(F, (F.neg(a), 1), (F.neg(b), 1)))
+            for a, b in pairs] == want
+    diag = np.array([[[a, 0], [0, b]] for a, b in pairs])
+    assert classify.charpoly_disc(F, diag)[1].tolist() == want
+
+
+FIELDS = {q: gf.make_field(*gf.factor_prime_power(q)) for q in (3, 5, 7, 9, 25)}
+
+
+@st.composite
+def matrix_batch(draw):
+    """(F, N, list of flat matrices): random entries, plus scalar and
+    triangular unipotent matrices (repeated roots; f' = 0 when p | N and the
+    matrix is scalar)."""
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    N = draw(st.integers(1, 5))
+    entry = st.integers(0, F.q - 1)
+    mats = draw(st.lists(st.lists(entry, min_size=N * N, max_size=N * N),
+                         max_size=6))
+    for c in draw(st.lists(entry, max_size=2)):
+        mats.append([c if i == j else 0 for i in range(N) for j in range(N)])
+        mats.append([c if i == j else int(j == i + 1) for i in range(N) for j in range(N)])
+    return F, N, [tuple(m) for m in mats]
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_batch())
+def test_kernel_matches_scalar_oracle(case):
+    F, N, mats = case
+    coeffs, discs = classify.charpoly_disc(F, bfs.as_array(F, N, mats))
+    assert coeffs.shape == (len(mats), N + 1) and discs.shape == (len(mats),)
+    for m, c, d in zip(mats, coeffs.tolist(), discs.tolist()):
+        want = hessenberg_char_poly(F, N, m)
+        assert tuple(c) == want
+        assert d == poly_disc(F, list(want))
+        assert classify.char_poly(F, N, m) == want
+
+
+def test_kernel_edge_batches():
+    F = gf.make_field(3)
+    # empty batch, and a batch of one where p = 3 divides N and f' = 0:
+    # the identity of SL_3(3) has f = (x - 1)^3 = x^3 - 1
+    coeffs, discs = classify.charpoly_disc(F, np.zeros((0, 3, 3), np.int64))
+    assert coeffs.shape == (0, 4) and discs.shape == (0,)
+    coeffs, discs = classify.charpoly_disc(F, np.eye(3, dtype=np.int64)[None])
+    assert coeffs.tolist() == [[2, 0, 0, 1]] and discs.tolist() == [0]
+    # slabs: a batch longer than one block equals its rows run one by one
+    F9 = FIELDS[9]
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 9, (classify._BLOCK + 5, 3, 3))
+    coeffs, discs = classify.charpoly_disc(F9, X)
+    for i in (0, classify._BLOCK - 1, classify._BLOCK, len(X) - 1):
+        c, d = classify.charpoly_disc(F9, X[i:i + 1])
+        assert coeffs[i].tolist() == c[0].tolist() and discs[i] == d[0]
 
 
 def test_char_poly_of_diagonal():
@@ -69,7 +227,7 @@ def test_split_torus_nonrs_count_sl2():
     spec = groups.GroupSpec("SL", 2)
     F = gf.make_field(5)
     pts = groups.torus_points(spec, F)
-    nonrs = [m for m in pts if not classify.is_regular_semisimple(F, 2, m)]
+    nonrs = [m for m in pts if not oracle_disc(F, 2, m)]
     assert len(nonrs) == 2  # exactly +/- identity
 
 
@@ -90,8 +248,7 @@ def test_torus_nonrs_count_two_ways():
     pts = groups.torus_points(sp4, F)
     direct = classify.count_nonrs_in_torus(sp4, F, pts)
     by_cat = classify.count_nonrs_by_catalogue(sp4, F, pts)
-    brute = sum(1 for m in pts
-                if not classify.is_regular_semisimple(F, 4, m))
+    brute = sum(1 for m in pts if not oracle_disc(F, 4, m))
     assert direct == by_cat == brute
 
 

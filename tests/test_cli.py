@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -122,6 +123,10 @@ _SL27 = ["--group", "SL", "--n", "2", "--q", "7"]
     ["growth"] + _SL27 + ["--target", "class:1,0,0,2", "--format", "csv"],
     ["growth"] + _SL27 + ["--target", "class:1,2"],
     ["growth"] + _SL27 + ["--target", "class:1,2", "--format", "csv"],
+    ["growth"] + _SL27 + ["--target", "torus:1,2,3"],  # SL_2 takes 2 entries
+    ["growth"] + _SL27 + ["--target", "torus:5"],
+    ["growth"] + _SL27 + ["--gens", "random", "--size", "-1"],
+    ["escape"] + _SL27 + ["--variety", "ambient=4dim=2", "--point", "1,0,0,1"],
 ])
 def test_malformed_input_is_usage_error(argv, capsys):
     assert cli.run(argv) == 2
@@ -129,6 +134,23 @@ def test_malformed_input_is_usage_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_malformed_variety_header_is_named(capsys):
+    assert cli.run(["escape"] + _SL27 + ["--variety", "ambient=4dim=2",
+                                         "--point", "1,0,0,1"]) == 2
+    assert "malformed variety header 'ambient=4dim=2'" in capsys.readouterr().err
+
+
+# stdout bytes and exit codes of every subcommand, captured before the batched
+# char-poly kernel replaced the per-element path; they must not move
+_BYTES = json.loads((pathlib.Path(__file__).parent / "cli_bytes.json").read_text())
+
+
+@pytest.mark.parametrize("row", _BYTES, ids=[row["argv"] for row in _BYTES])
+def test_report_bytes_are_pinned(row, capsys):
+    code, out = _run(row["argv"].split(), capsys)
+    assert (code, out) == (row["exit"], row["stdout"])
 
 
 def test_byte_identical_reports(capsys):

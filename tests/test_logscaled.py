@@ -1,9 +1,13 @@
 import math
 import random
 
-import pytest
+from unittest.mock import patch
 
-from chevlab.logscaled import LogScaled, _ln_big, _logaddexp
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chevlab import logscaled
+from chevlab.logscaled import REL_SLACK, LogScaled, _ln_big, _logaddexp
 from chevlab.errors import Indeterminate
 
 
@@ -81,3 +85,116 @@ def test_ln_big_matches_float_log():
     # a number far beyond float range
     n = 3 ** 5000
     assert abs(_ln_big(n) - 5000 * math.log(3)) < 1e-6
+
+
+# --- the eager oracle: every exact integer built at once ---
+
+class Eager:
+    """LogScaled as it was before exact integers became lazy (height 1 and
+    positive values only); it reads the cap from chevlab.logscaled."""
+
+    def __init__(self, top, exact=None):
+        self.top, self.exact = float(top), exact
+
+    @staticmethod
+    def from_exact(n):
+        return Eager(_ln_big(n), n if n.bit_length() <= logscaled.EXACT_BIT_CAP else None)
+
+    @staticmethod
+    def power(base, exponent):
+        fits = exponent * base.bit_length() <= logscaled.EXACT_BIT_CAP
+        return Eager(exponent * _ln_big(base), base ** exponent if fits else None)
+
+    def _fit(self, top, n):
+        return Eager(top, n if n is not None and n.bit_length() <= logscaled.EXACT_BIT_CAP
+                     else None)
+
+    def mul(self, other):
+        both = self.exact is not None and other.exact is not None
+        return self._fit(self.top + other.top, self.exact * other.exact if both else None)
+
+    def add(self, other):
+        both = self.exact is not None and other.exact is not None
+        return self._fit(_logaddexp(self.top, other.top),
+                         self.exact + other.exact if both else None)
+
+    def pow(self, k):
+        fits = (self.exact is not None
+                and k * max(self.exact.bit_length(), 1) <= logscaled.EXACT_BIT_CAP)
+        return Eager(k * self.top, self.exact ** k if fits else None)
+
+    def cmp(self, other):
+        if self.exact is not None and other.exact is not None:
+            return (self.exact > other.exact) - (self.exact < other.exact)
+        if abs(self.top - other.top) <= REL_SLACK * max(abs(self.top), abs(other.top), 1.0):
+            return 0
+        return -1 if self.top < other.top else 1
+
+    def to_json(self):
+        return {"height": 1, "top": "{:.12g}".format(self.top),
+                "ln": "{:.12g}".format(self.top),
+                "exact": str(self.exact) if self.exact is not None else None}
+
+
+@st.composite
+def lazy_and_eager(draw, cap):
+    """A random expression of leaves and mul/add/pow, built both ways, with
+    leaves near the cap so that bit-length bounds straddle it."""
+    leaf = st.one_of(
+        st.one_of(st.integers(1, 3), st.integers(1, 10 ** 6)).map(lambda n: ("exact", n)),
+        st.integers(cap - 3, cap + 2).flatmap(
+            lambda j: st.sampled_from([("exact", 2 ** j - 2), ("exact", 2 ** j - 1),
+                                       ("exact", 2 ** j), ("exact", 3 ** (j * 2 // 3))])),
+        st.tuples(st.sampled_from([2, 3, 4, 8, 10, 40]), st.integers(0, cap)).map(
+            lambda t: ("power",) + t))
+    steps = draw(st.lists(st.tuples(st.sampled_from(["mul", "add", "pow", "leaf"]),
+                                    leaf, st.integers(0, 4)), max_size=6))
+    values = []
+
+    def make(node):
+        if node[0] == "exact":
+            return LogScaled.from_exact(node[1]), Eager.from_exact(node[1])
+        return LogScaled.power(*node[1:]), Eager.power(*node[1:])
+
+    cur = make(draw(leaf))
+    values.append(cur)
+    for op, node, k in steps:
+        if op == "leaf":
+            cur = make(node)
+        elif op == "pow":
+            cur = cur[0].pow(k), cur[1].pow(k)
+        else:
+            other = make(node)
+            cur = getattr(cur[0], op)(other[0]), getattr(cur[1], op)(other[1])
+        values.append(cur)
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(8, 200), st.data())
+def test_lazy_exact_matches_eager(cap, data):
+    with patch.object(logscaled, "EXACT_BIT_CAP", cap):
+        values = data.draw(lazy_and_eager(cap))
+        for lazy, eager in values:
+            # availability is decided before any integer is read
+            assert lazy._has_exact() == (eager.exact is not None)
+            lo, hi = lazy._bits()
+            if eager.exact is not None:
+                assert lo <= eager.exact.bit_length() <= hi
+        for (a, ea), (b, eb) in zip(values, values[1:] + values[:1]):
+            assert a.cmp(b) == ea.cmp(eb)
+            # in the slack band two exact values still compare exactly
+            one = LogScaled.from_exact(1), Eager.from_exact(1)
+            assert a.cmp(a.add(one[0])) == ea.cmp(ea.add(one[1]))
+            assert a.cmp(a) == ea.cmp(ea) == 0
+        for lazy, eager in values:
+            assert lazy.to_json() == eager.to_json()
+            assert lazy.exact == eager.exact
+
+
+def test_power_builds_its_integer_only_when_read():
+    v = LogScaled.power(127, 200_000)  # ~1.4 M bits, under the cap
+    assert v._build is not None and v._exact is None
+    assert v.cmp(LogScaled.power(128, 200_000)) == -1
+    assert v._exact is None
+    assert v.exact == 127 ** 200_000
