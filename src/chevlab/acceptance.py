@@ -40,7 +40,11 @@ def _result(name, passed, detail):
 
 
 def criterion_order_oracle(cfg):
-    """BFS enumeration equals the closed-form order on five small groups."""
+    """BFS enumeration equals the closed-form order on five small groups.  On
+    SL(2,5) and SL(2,7) the maximal torus T is regular, so it has exactly
+    |G| / (|T| |W|) conjugates, at least torus_conjugate_count_bound of them
+    (at q = 3 the split tori of SL(2,3) and Sp(4,3) are not regular, so
+    |N(T)| != |T| |W| there)."""
     cases = [
         ("SL", 2, 3, 24),
         ("SL", 2, 5, 120),
@@ -49,6 +53,7 @@ def criterion_order_oracle(cfg):
         ("Sp", 2, 3, 51840),
     ]
     bad = []
+    conjugates = []
     for fam, n, q, expected in cases:
         spec = groups.GroupSpec(fam, n)
         F = gf.make_field(q)
@@ -56,8 +61,17 @@ def criterion_order_oracle(cfg):
         ball = bfs.closure(F, spec.N, groups.standard_generators(spec, F))
         if not (formula == len(ball) == expected):
             bad.append((fam, n, q, formula, len(ball), expected))
+        if (fam, n) == ("SL", 2) and q in (5, 7):
+            count = groups.exact_torus_conjugate_count(spec, F, list(ball.mats()))
+            torus = len(groups.torus_points(spec, F))
+            bound = groups.torus_conjugate_count_bound(spec, q)
+            if count * torus * groups.weyl_order(spec) != formula or count < bound:
+                bad.append((fam, n, q, "torus_conjugates", count, torus, bound))
+            conjugates.append("{} >= {}".format(count, bound))
     return _result("order_oracle", not bad,
-                   "5 groups, formula == BFS closure" if not bad else str(bad))
+                   "5 groups, formula == BFS closure; torus conjugates "
+                   "|G|/(|T||W|) >= bound on SL(2,5), SL(2,7): {}".format(
+                       ", ".join(conjugates)) if not bad else str(bad))
 
 
 def criterion_degree_oracle(cfg):
@@ -110,9 +124,22 @@ def criterion_classification_oracle(cfg):
             cnt = classify.nonrs_count_in_group(F, spec.N, M.ball)
             if cnt != 2 * q * q:
                 bad.append((fam, q, "nonrs", cnt, 2 * q * q))
+    # non-rs torus points two ways: the disc test and the subtorus catalogue
+    torus_counts = []
+    for fam, n, q in (("SL", 2, 5), ("SL", 2, 7), ("Sp", 2, 5)):
+        spec = groups.GroupSpec(fam, n)
+        F = gf.make_field(q)
+        pts = groups.torus_points(spec, F)
+        by_disc = classify.count_nonrs_in_torus(spec, F, pts)
+        by_catalogue = classify.count_nonrs_by_catalogue(spec, F, pts)
+        if by_disc != by_catalogue:
+            bad.append((fam, q, "torus_nonrs", by_disc, by_catalogue))
+        torus_counts.append(str(by_disc))
     return _result("classification_oracle", not bad,
-                   "|Cl||C| = |G| on {} samples/group; SL2 nonrs = 2q^2".format(
-                       samples) if not bad else str(bad))
+                   "|Cl||C| = |G| on {} samples/group; SL2 nonrs = 2q^2; "
+                   "torus nonrs disc == catalogue on SL(2,5), SL(2,7), Sp(4,5): "
+                   "{}".format(samples, ", ".join(torus_counts))
+                   if not bad else str(bad))
 
 
 def _growth_property_one(spec, F, rng):
@@ -177,6 +204,8 @@ def criterion_escape_envelope(cfg):
         spec = groups.GroupSpec("SL", 2)
         F = gf.make_field(q)
         gens = growth.GenSet.standard(spec, F).mats
+        # raises TheoremViolation past the (2r)^(4r^2+3r) bound
+        escape.find_regular_semisimple(F, spec, gens)
         rng = random.Random(40_000 + q)
         done = 0
         while done < target:
@@ -201,10 +230,17 @@ def criterion_escape_envelope(cfg):
             D = max(P.total_degree, 1)
             if scert.k_found >= 11 * D * 3 ** D * math.log(2):
                 bad.append((q, "element", scert.k_found))
+            # Shitov's linearization: P(w) is a linear form in rho_iota(w)
+            w = scert.witness
+            _, P_lin = escape.linearize(F, 2, D, P)
+            if (P_lin.total_degree > 1
+                    or P_lin.evaluate(escape.rho_iota(F, 2, D, w)) != P.evaluate(w)):
+                bad.append((q, "linearize", w))
             done += 1
     return _result("escape_envelope", not bad,
-                   "{} verified instances/field within both bounds".format(
-                       target) if not bad else str(bad))
+                   "{} verified instances/field within both bounds and "
+                   "linearized; regular semisimple escape within "
+                   "(2r)^(4r^2+3r)".format(target) if not bad else str(bad))
 
 
 def criterion_torus_certificates(cfg):
@@ -228,8 +264,14 @@ def criterion_torus_certificates(cfg):
         cert = torus_lab.rank_certificate(t, Fa, "adjoint", seed=7)
         if cert.achieved_rank != (spec.ell + 1) * (spec.r - 1):
             bad.append((fam, "adjoint", cert.achieved_rank))
+    rng = random.Random(60_000)
+    if not torus_lab.soeven_reconstruction_check(4, gf.make_field(7), rng):
+        bad.append(("SOeven", "reconstruction"))
+    if not torus_lab.soodd_reconstruction_check(3, gf.make_field(11), rng):
+        bad.append(("SOodd", "reconstruction"))
     return _result("torus_certificates", not bad,
-                   "3 eta/family + adjoint mode, exact rank (ell+1) dim(t)"
+                   "3 eta/family + adjoint mode, exact rank (ell+1) dim(t); "
+                   "bracket reconstruction on SO(8,7), SO(7,11)"
                    if not bad else str(bad))
 
 
@@ -323,17 +365,22 @@ CRITERIA = [
 ]
 
 
+def run_criterion(fn, cfg):
+    """One criterion's result; an exception it raises fails it."""
+    try:
+        return fn(cfg)
+    except Exception as exc:
+        return _result(fn.__name__.replace("criterion_", ""), False,
+                       "raised {!r}".format(exc))
+
+
 def run_all(profile="desk"):
     if profile not in PROFILES:
         raise ValueError("unknown profile {!r}".format(profile))
     cfg = PROFILES[profile]
     results = []
     for i, fn in enumerate(CRITERIA, 1):
-        try:
-            res = fn(cfg)
-        except Exception as exc:
-            res = _result(fn.__name__.replace("criterion_", ""), False,
-                          "raised {!r}".format(exc))
+        res = run_criterion(fn, cfg)
         res["index"] = i
         results.append(res)
     return {

@@ -17,8 +17,6 @@ and ball series are schedule-independent.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import BallCapExceeded
@@ -37,7 +35,6 @@ class Ball:
         self.offsets = np.cumsum([0] + [len(x) for x in layers])
         self.sizes = sizes                        # sizes[t-1] = |A^t|
         self.saturated_at = saturated_at
-        self._index = None
 
     def __len__(self):
         return len(self.elements)
@@ -54,21 +51,6 @@ class Ball:
     def depth_array(self):
         """Word length of each element, in BFS order."""
         return np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
-
-    def key_of(self, mat):
-        return key_of(self.F, mat)
-
-    def depth_of(self, mat):
-        if self._index is None:
-            keys = pack(self.F, self.N, self.elements)
-            order = np.argsort(keys)
-            self._index = keys[order], order
-        keys, order = self._index
-        key = self.key_of(mat)
-        i = np.searchsorted(keys, key)
-        if i == len(keys) or keys[i] != key:
-            return None
-        return int(np.searchsorted(self.offsets, order[i], side="right")) - 1
 
     def mats(self):
         """Iterate elements as flat tuples of ints in BFS order."""
@@ -134,12 +116,6 @@ def pack(F, N, X):
     dt = np.dtype(np.uint8 if F.q <= 1 << 8 else np.uint16 if F.q <= 1 << 16 else np.uint32)
     raw = np.ascontiguousarray(flat, dtype=dt)
     return raw.view(np.dtype((np.void, N * N * dt.itemsize))).ravel()
-
-
-def key_of(F, mat):
-    """The key of one flat matrix, as `pack` makes it."""
-    N = math.isqrt(len(mat))
-    return pack(F, N, as_array(F, N, mat))[0]
 
 
 def keys_of(F, N, mats):

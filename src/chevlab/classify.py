@@ -24,7 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import bfs, linalg
-from .errors import InvariantViolation, TheoremViolation, TorusTooLarge
+from .errors import InvariantViolation, TheoremViolation
 
 _BLOCK = 4096  # kernel rows per slab
 
@@ -264,11 +264,8 @@ def relation_holds(spec, F, mat, rel):
     raise ValueError("relation {} not applicable".format(rel))
 
 
-def count_nonrs_in_torus(spec, F, t_elements, cap=10 ** 6):
+def count_nonrs_in_torus(spec, F, t_elements):
     """Exact count of non-regular-semisimple torus points, by the disc test."""
-    if len(t_elements) > cap:
-        raise TorusTooLarge("torus has {} points, cap {}".format(
-            len(t_elements), cap))
     return int(nonrs_mask(F, bfs.as_array(F, spec.N, t_elements)).sum())
 
 

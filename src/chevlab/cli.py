@@ -67,7 +67,8 @@ def emit(report, fmt="json"):
 
 
 def _field(q):
-    p, e = gf.factor_prime_power(q)
+    """The field of a group command; characteristic 2 is out of scope."""
+    p, e = groups._require_odd_char(q)
     return gf.make_field(p, e)
 
 

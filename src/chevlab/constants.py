@@ -79,26 +79,6 @@ def diameter_exponent(r):
     return exponent, q_threshold
 
 
-def class_fibre_bound(r):
-    """The fibre-size budget (2r)^(17 r^3) for the conjugation map."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    return LogScaled.power(2 * r, 17 * r ** 3)
-
-
-def image_fibre_bound(deg_v, N, ell):
-    """The intermediate fibre bound deg(V)^ell * N^(N^2 (ell-1))."""
-    if deg_v < 1 or N < 1 or ell < 1:
-        raise ValueError("positive inputs required")
-    return LogScaled.power(deg_v, ell).mul(
-        LogScaled.power(N, N * N * (ell - 1)))
-
-
-def pair_degree_budget(N, D, D_prime):
-    """The two-variety degree budget 2^(2 N^2) D^2 D'^2."""
-    return LogScaled.from_exact(2 ** (2 * N * N) * D * D * D_prime * D_prime)
-
-
 # --- general-variety (appendix) recursion pieces ---
 
 def e_exponent(r, d):

@@ -42,10 +42,6 @@ class DivisionByZero(ArtifactError):
     pass
 
 
-class ZeroInput(ArtifactError):
-    pass
-
-
 # --- groups ---
 
 class InadmissibleFamilyParameter(ArtifactError):

@@ -110,12 +110,6 @@ def _shortest_witness(F, N, gens, cap, hits, nothing):
     raise NoEscapeWithinBall(nothing)
 
 
-def verify_orbit_noncontainment(inst, cap=10 ** 6):
-    """Exhaustively check that the orbit of the point leaves the variety."""
-    ball = bfs.closure(inst.F, inst.N, inst.generators, cap=cap)
-    return any(not inst.variety.contains(inst.act(g)) for g in ball.mats())
-
-
 def escape_point(inst, cap=10 ** 6):
     """Shortest witness g in A^k with g.point off the variety, ties broken by
     serialized-matrix lexicographic order.  The witness lies in the saturated
@@ -232,17 +226,12 @@ def shitov_escape(inst, cap=10 ** 6):
     return EscapeCertificate(witness, k, LogScaled.from_ln(bound_ln), None)
 
 
-def shitov_intermediate_envelope(Nt):
-    """The proof's intermediate step budget 2 N' log2(N') + 4 N'."""
-    return 2 * Nt * math.log2(Nt) + 4 * Nt
-
-
-def find_regular_semisimple(F, spec, generators, cap=10 ** 6):
+def find_regular_semisimple(F, spec, generators):
     """Shortest g in A^k with nonzero char-poly discriminant; k is certified
     below (2r)^(4r^2+3r) in log space."""
     N, r = spec.N, spec.r
     k, witness = _shortest_witness(
-        F, N, generators, cap,
+        F, N, generators, 10 ** 6,
         lambda gs: ~classify.nonrs_mask(F, bfs.as_array(F, N, gs)),
         "no regular semisimple element in the generated subgroup")
     bound = LogScaled.power(2 * r, 4 * r * r + 3 * r)

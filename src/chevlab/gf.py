@@ -9,12 +9,7 @@ FieldSpec holds the arithmetic.
 
 from __future__ import annotations
 
-from .errors import (
-    DivisionByZero,
-    NonPrimeCharacteristic,
-    ReducibleModulus,
-    ZeroInput,
-)
+from .errors import DivisionByZero, NonPrimeCharacteristic, ReducibleModulus
 
 MAX_Q = 1 << 20
 MAX_E = 4
@@ -232,13 +227,6 @@ class FieldSpec:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
-
-    def is_square_enc(self, a):
-        if a == 0:
-            raise ZeroInput("is_square is undefined at 0")
-        if self.p == 2:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
 
     def elements(self):
         return range(self.q)

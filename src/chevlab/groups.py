@@ -85,11 +85,8 @@ class GroupSpec:
     def __repr__(self):
         return "GroupSpec({}, n={})".format(self.family, self.n)
 
-    def ser(self, q, modulus=None):
-        base = "{}:{}:{}".format(self.family, self.n, q)
-        if modulus:
-            base += ":" + ":".join(str(c) for c in modulus)
-        return base
+    def ser(self, q):
+        return "{}:{}:{}".format(self.family, self.n, q)
 
 
 def omega(n):
@@ -166,10 +163,6 @@ class GroupElement:
                             linalg.mat_mul(self.F, self.spec.N, self.mat, other.mat),
                             check=False)
 
-    def inverse(self):
-        return GroupElement(self.spec, self.F,
-                            linalg.inv(self.F, self.spec.N, self.mat), check=False)
-
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.mat == other.mat \
             and self.F == other.F and self.spec == other.spec
@@ -230,12 +223,10 @@ def group_order(spec, q):
     return prod
 
 
-def cayley_map(spec, F, mat, direction="to_group"):
+def cayley_map(spec, F, mat):
     """lambda(x) = (Id - x)(Id + x)^{-1}; an involution, used for G != SL."""
     if spec.family == "SL":
         raise FamilyNotSupported("the Cayley map is applied only for G != SL_n")
-    if direction not in ("to_group", "to_algebra"):
-        raise ValueError("unknown direction {!r}".format(direction))
     N = spec.N
     ident = linalg.identity(N)
     shift = linalg.mat_add(F, ident, mat)
@@ -328,8 +319,8 @@ def torus_conjugate_count_bound(spec, q):
 
 
 def exact_torus_conjugate_count(spec, F, universe):
-    """Diagnostic: |G| / |N(T)| for the canonical maximal torus, by scanning a
-    materialized universe (list of flat matrices)."""
+    """|G| / |N(T)| for the canonical maximal torus, by scanning a
+    materialized universe (list of flat matrices); verify criterion 1."""
     torus = set(torus_points(spec, F))
     N = spec.N
     count = 0

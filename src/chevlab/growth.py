@@ -17,7 +17,6 @@ from .errors import (
     SamplerStalled,
     TheoremViolation,
 )
-from .gf import factor_prime_power
 from .logscaled import LogScaled
 
 STALL_DRAWS = 64  # per wanted element, before random_subset gives up
@@ -185,9 +184,7 @@ def _icbrt(n):
 def np_threshold(spec, q):
     """ceil((4/3) q^(dim - r/3)): the smallest n with 27 n^3 >= 64 q^(3 dim - r),
     computed by exact integer cube roots (directed rounding)."""
-    p, _ = factor_prime_power(q)
-    if p == 2:
-        raise HypothesisFailed("characteristic 2 is out of scope")
+    groups._require_odd_char(q)
     if q <= 9:
         raise HypothesisFailed("the tripling theorem needs q > 9")
     c = 64 * q ** (3 * spec.dim - spec.r)

@@ -16,6 +16,8 @@ Indeterminate), unless both sides are exact.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from fractions import Fraction
 
@@ -78,8 +80,8 @@ class LogScaled:
         return LogScaled(1, _ln_big(n), n)
 
     @staticmethod
-    def from_ln(lnv, exact=None):
-        return LogScaled(1, lnv, exact)
+    def from_ln(lnv):
+        return LogScaled(1, lnv)
 
     @staticmethod
     def from_float(x):
@@ -200,13 +202,36 @@ class LogScaled:
         out = {"height": self.height, "top": _fmt(self.top)}
         if self.height == 1:
             out["ln"] = _fmt(self.top)
-        out["exact"] = str(self.exact) if self.exact is not None else None
+        out["exact"] = _decimal(self.exact) if self.exact is not None else None
         return out
 
 
 def _fmt(x):
     """12-significant-digit decimal string, the report formatting contract."""
     return "{:.12g}".format(x)
+
+
+def _decimal(n):
+    """The decimal string of an int >= 0 of any size.  str() refuses more than
+    4,300 digits (sys.get_int_max_str_digits), and that limit is global to the
+    interpreter, so the digits come from the decimal module instead: split n
+    into bit halves and recombine them in exact Decimal arithmetic."""
+    @functools.lru_cache(maxsize=None)
+    def two_to(w):
+        return D(2) ** w if w <= 4096 else two_to(w >> 1) * two_to(w - (w >> 1))
+
+    def convert(n, w):
+        if w <= 4096:
+            return D(n)
+        h = w >> 1
+        hi = n >> h
+        return convert(n - (hi << h), h) + convert(hi, w - h) * two_to(h)
+
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 def _ln_big(n):

@@ -29,6 +29,7 @@ from .errors import (
 
 RETRIES_PER_SLOT = 64
 RESTARTS = 4  # fresh completions from the torus basis after a dead end
+RECONSTRUCTION_TRIALS = 10
 
 
 class IndependenceCertificate:
@@ -269,15 +270,16 @@ def rank_certificate(t, F, mode="lie_bracket", seed=0):
 
 # --- executable reconstruction identities ---
 
-def soeven_reconstruction_check(n, F, rng, trials=10):
+def soeven_reconstruction_check(n, F, rng):
     """For SO_{2n} with the torus cut by a_n = 0: the combined bracket
     x = [h1,t1] + [h2,t2] + [h3,t3] determines all three parameter vectors via
-    x_{2i-1,2n-1} = -a_{3,i}, x_{2i,2n-1} = a_{1,i}, x_{2i,2n} = a_{2,i}."""
+    x_{2i-1,2n-1} = -a_{3,i}, x_{2i,2n-1} = a_{1,i}, x_{2i,2n} = a_{2,i}.
+    Checked on RECONSTRUCTION_TRIALS random parameter triples."""
     spec = groups.GroupSpec("SOeven", n)
     N = spec.N
     t = groups.TorusSpec(spec, (0,) * (n - 1) + (1,))
     h1, h2, h3 = [h.mat for h in explicit_h_matrices(t, F)]
-    for _ in range(trials):
+    for _ in range(RECONSTRUCTION_TRIALS):
         avecs = []
         mats = []
         for _j in range(3):
@@ -296,14 +298,14 @@ def soeven_reconstruction_check(n, F, rng, trials=10):
     return True
 
 
-def soodd_reconstruction_check(n, F, rng, trials=10):
+def soodd_reconstruction_check(n, F, rng):
     """For SO_{2n+1}: a_j appears as x_{2j,2n+1} in [h_-, t] and -a_j as
-    x_{2j-1,2n+1} in [h_+, t]."""
+    x_{2j-1,2n+1} in [h_+, t], on RECONSTRUCTION_TRIALS random a."""
     spec = groups.GroupSpec("SOodd", n)
     N = spec.N
     t = groups.TorusSpec(spec, (0,) * (n - 1) + (1,))
     h_minus, h_plus = [h.mat for h in explicit_h_matrices(t, F)]
-    for _ in range(trials):
+    for _ in range(RECONSTRUCTION_TRIALS):
         a = [rng.randrange(F.q) for _ in range(n - 1)] + [0]
         tm = groups.torus_param_to_matrix(spec, F, a)
         xm = linalg.bracket(F, N, h_minus, tm)

@@ -1,5 +1,6 @@
-"""Multivariate polynomials over F_q, variety records, exhaustive point
-counting, and Bezout/degree bookkeeping.
+"""Multivariate polynomials over F_q, variety records (the declared degree
+held to the Bezout product of the defining degrees), exhaustive point
+counting, and the text file format.
 
 Declared dimension and degree are caller inputs (no dimension theory here);
 the point-count report checks them against the |V(F_q)| <= D q^d bound.
@@ -11,7 +12,6 @@ import itertools
 import re
 
 from .errors import AmbientMismatch, AmbientTooLarge, ArityMismatch
-from .logscaled import LogScaled
 
 
 class Poly:
@@ -162,38 +162,6 @@ def point_count(V, F, cap=10 ** 8):
     }
 
 
-def bezout_degree(parts, op):
-    """Degree budgets: union adds, intersect/product multiply."""
-    if not parts:
-        raise ValueError("no parts")
-    if op in ("union", "intersect"):
-        ambient = parts[0].ambient
-        if any(p.ambient != ambient for p in parts):
-            raise AmbientMismatch("incompatible ambients for {}".format(op))
-    if op == "union":
-        return LogScaled.from_exact(sum(p.declared_deg for p in parts))
-    if op in ("intersect", "product"):
-        prod = 1
-        for p in parts:
-            prod *= p.declared_deg
-        return LogScaled.from_exact(prod)
-    raise ValueError("unknown op {!r}".format(op))
-
-
-def image_degree_bound(V, map_degree, image_dim):
-    """deg(f(V)) <= deg(V) deg(f)^dim."""
-    if map_degree < 1:
-        raise ValueError("map_degree must be >= 1")
-    return LogScaled.from_exact(V.declared_deg * map_degree ** image_dim)
-
-
-def intersection_chain_budget(d, D):
-    """D^(d+1), the degree budget for intersections of dim <= d, deg <= D."""
-    if D < 1 or d < 0:
-        raise ValueError("need D >= 1 and d >= 0")
-    return LogScaled.power(D, d + 1)
-
-
 # --- text file format ---
 
 def variety_loads(F, text):
@@ -213,10 +181,3 @@ def variety_loads(F, text):
     ambient = int(header["ambient"])
     polys = [poly_parse(F, ambient, ln) for ln in lines[1:]]
     return VarietySpec(ambient, polys, int(header["dim"]), int(header["deg"]))
-
-
-def variety_dumps(V):
-    out = ["ambient={} dim={} deg={}".format(
-        V.ambient, V.declared_dim, V.declared_deg)]
-    out.extend(P.ser() for P in V.polys)
-    return "\n".join(out) + "\n"

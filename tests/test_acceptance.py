@@ -1,10 +1,14 @@
 """The nine acceptance criteria, one test (and one printed PASS/FAIL line)
 per criterion.  Uses the desk profile: full sample counts, ~1 minute total.
+test_wired_check_fails_verify then breaks each paper check that `verify`
+runs, one at a time, and runs `verify --profile quick` (~8 s each).
 """
+
+import json
 
 import pytest
 
-from chevlab import acceptance
+from chevlab import acceptance, classify, cli, escape, groups, torus_lab
 
 CFG = acceptance.PROFILES["desk"]
 
@@ -56,3 +60,38 @@ def test_criterion_8_saturation_counting():
 
 def test_criterion_9_determinism():
     _check(9, acceptance.criterion_determinism)
+
+
+class _NoRegularSemisimpleBound(escape.LogScaled):
+    """LogScaled with power() pinned to 0: every bound it builds fails."""
+    power = staticmethod(lambda base, exponent: escape.LogScaled.from_exact(0))
+
+
+_CATALOGUE = classify.count_nonrs_by_catalogue
+
+# (patched module, attribute, replacement, the criterion that must fail)
+WIRED = {
+    "soodd_reconstruction_check": (
+        torus_lab, "soodd_reconstruction_check", lambda n, F, rng: False, 6),
+    "count_nonrs_by_catalogue": (
+        classify, "count_nonrs_by_catalogue",
+        lambda spec, F, pts: _CATALOGUE(spec, F, pts) + 1, 3),
+    "weyl_order": (groups, "weyl_order", lambda spec: 1, 1),
+    "rho_iota": (
+        escape, "rho_iota", lambda F, N, D, mat: (0,) * (N + 1) ** (2 * D), 5),
+    "find_regular_semisimple_bound": (
+        escape, "LogScaled", _NoRegularSemisimpleBound, 5),
+}
+
+
+@pytest.mark.parametrize("wired", sorted(WIRED))
+def test_wired_check_fails_verify(wired, monkeypatch, capsys):
+    """A false answer from each paper check that `verify` runs fails its
+    criterion, and only that one, and `verify` exits 1."""
+    module, attr, replacement, index = WIRED[wired]
+    monkeypatch.setattr(module, attr, replacement)
+    criterion = acceptance.CRITERIA[index - 1]
+    assert acceptance.run_criterion(criterion, acceptance.PROFILES["quick"])["passed"] is False
+    assert cli.run(["verify", "--profile", "quick"]) == 1
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert [c["index"] for c in report["criteria"] if not c["passed"]] == [index]

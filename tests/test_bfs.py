@@ -112,8 +112,9 @@ def test_void_key_path_matches_reference():
     F = gf.make_field(5)
     gens = groups.standard_generators(spec, F)
     ball = _assert_matches_reference(F, 6, gens, t_max=2)
-    assert ball.depth_of(gens[-1]) == 1
-    assert ball.depth_of(linalg.mat_mul(F, 6, gens[1], gens[-1])) == 2
+    depth = dict(zip(ball.mats(), ball.depth_array().tolist()))
+    assert depth[gens[-1]] == 1
+    assert depth[linalg.mat_mul(F, 6, gens[1], gens[-1])] == 2
 
 
 def test_extension_field_closure():
@@ -134,10 +135,11 @@ def test_depth_tracking():
     F = gf.make_field(5)
     gens = groups.standard_generators(spec, F)
     ball = bfs.closure(F, 2, gens)
-    assert ball.depth_of(linalg.identity(2)) == 0
+    depth = dict(zip(ball.mats(), ball.depth_array().tolist()))
+    assert depth[linalg.identity(2)] == 0
     for g in gens:
-        assert ball.depth_of(g) <= 1
-    assert max(ball.depth_of(m) for m in ball.mats()) == 6
+        assert depth[g] <= 1
+    assert max(depth.values()) == 6
 
 
 def test_t_max_truncation():
@@ -165,7 +167,7 @@ def test_orbit_closure_is_conjugacy_class():
     gens = groups.standard_generators(spec, F)
     start = (2, 0, 0, 3)
     orbit = bfs.orbit_closure(F, 2, gens, start)
-    assert bfs.key_of(F, start) in orbit
+    assert bfs.keys_of(F, 2, [start])[0] in orbit
     assert len(orbit) == 30  # |Cl(diag(2,3))| in SL_2(F_5)
 
 

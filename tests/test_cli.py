@@ -57,6 +57,13 @@ def test_constants_formatting(capsys):
     assert isinstance(rep["C2"]["exact"], str)
 
 
+def test_constants_print_exact_integers_past_the_str_limit(capsys):
+    # m1 = 10^5625 has more digits than str() converts by default
+    code, out = _run(["constants", "--which", "growth", "--r", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["pairs"][0]["m"]["exact"] == "1" + "0" * 5625
+
+
 def test_torus_cert_subcommand(capsys):
     code, out = _run(["torus-cert", "--group", "Sp", "--n", "2", "--q", "7",
                       "--eta", "0,1"], capsys)
@@ -100,6 +107,11 @@ def test_exit_code_hypothesis(capsys):
                     "--check", "np"])
     assert code == 4
     assert cli.run(["constants", "--which", "torus", "--r", "1"]) == 4
+    # characteristic 2 is out of scope for every group command
+    assert cli.run(["growth", "--group", "SL", "--n", "2", "--q", "8",
+                    "--t-max", "2"]) == 4
+    assert cli.run(["growth", "--group", "Sp", "--n", "2", "--q", "4",
+                    "--t-max", "2"]) == 4
 
 
 def test_subset_larger_than_group_is_usage_error(capsys):

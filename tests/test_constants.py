@@ -59,14 +59,6 @@ def test_diameter_exponent():
     assert q1.exact == 2 ** 6
 
 
-def test_fibre_and_budget_evaluators():
-    assert constants.class_fibre_bound(2).exact == 4 ** (17 * 8)
-    v = constants.image_fibre_bound(3, 4, 5)
-    assert v.exact == 3 ** 5 * 4 ** (16 * 4)
-    b = constants.pair_degree_budget(2, 3, 5)
-    assert b.exact == 2 ** (2 * 4) * 9 * 25
-
-
 def test_recursion_building_blocks():
     assert constants.e_exponent(2, 1) == 19
     assert constants.e_exponent(2, 0) == 10

@@ -48,7 +48,6 @@ def test_no_escape_when_orbit_inside():
     inst, _ = _sl2_instance(5, "x1*x4-x2*x3-1", (1, 0, 0, 1))
     with pytest.raises(NoEscapeWithinBall):
         escape.escape_point(inst)
-    assert not escape.verify_orbit_noncontainment(inst)
 
 
 def test_conjugation_action():
@@ -120,13 +119,6 @@ def test_linearize_agrees_with_direct_evaluation():
         direct = P.evaluate(g)
         via = P_lin.evaluate(escape.rho_iota(F, 2, D, g))
         assert direct == via
-
-
-def test_shitov_intermediate_envelope():
-    assert escape.shitov_intermediate_envelope(3) >= 0
-    # 2 N' log2 N' + 4 N' at N' = 3
-    want = 2 * 3 * math.log2(3) + 4 * 3
-    assert escape.shitov_intermediate_envelope(3) <= want
 
 
 def test_find_regular_semisimple():

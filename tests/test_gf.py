@@ -41,16 +41,6 @@ def test_extension_field_axioms():
             assert F.pow(a, 8) == F.from_int(1)
 
 
-def test_square_counts():
-    for q, e in ((5, 1), (7, 1), (9, None), (11, 1)):
-        if e is None:
-            F = gf.make_field(3, 2)
-        else:
-            F = gf.make_field(q, e)
-        squares = [a for a in F.elements() if a != 0 and F.is_square_enc(a)]
-        assert len(squares) == (F.q - 1) // 2
-
-
 def test_ser_parse_round_trip():
     for F in (gf.make_field(5), gf.make_field(2, 3), gf.make_field(3, 2)):
         for a in F.elements():

@@ -4,7 +4,12 @@ import random
 import pytest
 
 from chevlab import gf, groups, growth
-from chevlab.errors import HypothesisFailed, NotGenerating, SamplerStalled
+from chevlab.errors import (
+    BadCharacteristic,
+    HypothesisFailed,
+    NotGenerating,
+    SamplerStalled,
+)
 
 
 def _sl2(q):
@@ -82,7 +87,7 @@ def test_ruzsa_and_olson_standard():
 def test_np_threshold_values_and_hypotheses():
     spec = groups.GroupSpec("SL", 2)
     assert growth.np_threshold(spec, 11) == 798
-    with pytest.raises(HypothesisFailed):
+    with pytest.raises(BadCharacteristic):
         growth.np_threshold(spec, 8)  # characteristic 2
     with pytest.raises(HypothesisFailed):
         growth.np_threshold(spec, 9)  # q <= 9
