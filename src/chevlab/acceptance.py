@@ -62,7 +62,7 @@ def criterion_order_oracle(cfg):
         if not (formula == len(ball) == expected):
             bad.append((fam, n, q, formula, len(ball), expected))
         if (fam, n) == ("SL", 2) and q in (5, 7):
-            count = groups.exact_torus_conjugate_count(spec, F, list(ball.mats()))
+            count = groups.exact_torus_conjugate_count(spec, F, ball)
             torus = len(groups.torus_points(spec, F))
             bound = groups.torus_conjugate_count_bound(spec, q)
             if count * torus * groups.weyl_order(spec) != formula or count < bound:
@@ -91,11 +91,7 @@ def criterion_degree_oracle(cfg):
     for spec in specs:
         if spec.N > 12:
             continue
-        bound = degrees.table_degree_bound(spec)
-        exact = degrees.exact_group_degree(spec)
-        ok = (exact <= bound.exact) if bound.exact is not None else (
-            constants.LogScaled.from_exact(exact).cmp(bound) <= 0)
-        if not ok:
+        if not degrees.degree_bound_check(spec)[2]:
             bad.append(("bound", spec.family, spec.n))
     return _result("degree_oracle", not bad,
                    "P(k) two-method match 2..10; family bounds N <= 12"

@@ -2,7 +2,8 @@
 
 One engine serves every field.  Matrices are int64 arrays of field encodings
 (see gf.py), and one layer step, shared by `closure` and `orbit_closure`:
-  * forms the layer's products with one batched field product (`mul`);
+  * forms the layer's products with one batched field product
+    (`linalg.mul`);
   * packs each N x N matrix into one sortable key (`pack`): the base-q
     integer of its entries when q^(N*N) < 2^63, else a fixed-width np.void
     view of its bytes;
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BallCapExceeded
-from .linalg import inv
+from .linalg import as_array, inv, lmul, mul
 
 
 class Ball:
@@ -57,55 +58,6 @@ class Ball:
         flat = self.elements.reshape(len(self), -1)
         for start in range(0, len(flat), 4096):
             yield from map(tuple, flat[start:start + 4096].tolist())
-
-
-def as_array(F, N, mats):
-    """Flat matrices as an (M, N, N) int64 array of encodings."""
-    arr = np.array(mats, dtype=np.int64).reshape(-1, N, N)
-    return arr % F.p if F.e == 1 else arr
-
-
-def _digits(F, a):
-    """The F_p coordinates of encodings, on a new last axis (low degree first)."""
-    return a[..., None] // F.p ** np.arange(F.e) % F.p
-
-
-def _regular(F, gens):
-    """Each (N, N) matrix over GF(p^e) as the (N e, N e) matrix over F_p of
-    its action on coordinate rows: entry y becomes the block of x -> x*y."""
-    p, e, N = F.p, F.e, gens.shape[-1]
-    rows = [_digits(F, gens)]           # rows[d][..., k, j, :] = t^d * y_kj
-    red = -np.array(F.modulus[:e], dtype=np.int64) % p   # t^e = sum red_i t^i
-    for _ in range(e - 1):
-        last = rows[-1]
-        rows.append((np.concatenate([np.zeros_like(last[..., :1]), last[..., :-1]], -1)
-                     + last[..., -1:] * red) % p)
-    rep = np.swapaxes(np.stack(rows, -2), -3, -2)
-    return rep.reshape(len(gens), N * e, N * e)
-
-
-def mul(F, X, gens):
-    """The field products X @ g for every g in the (G, N, N) array gens, as
-    one array of shape (G,) + X.shape."""
-    p, e, N = F.p, F.e, X.shape[-1]
-    shape = (len(gens),) + X.shape
-    if e > 1:
-        gens = _regular(F, gens)
-        X = _digits(F, X)
-    rows = X.reshape(-1, N * e)
-    out = np.empty((len(gens),) + rows.shape, dtype=np.int64)
-    for g, o in zip(gens, out):
-        np.matmul(rows, g, out=o)
-    out %= p
-    if e > 1:
-        out = out.reshape(shape + (e,)) @ p ** np.arange(e)
-    return out.reshape(shape)
-
-
-def lmul(F, g, X):
-    """The field product g @ X for one (N, N) matrix g, as (X^T g^T)^T."""
-    T = lambda A: np.swapaxes(A, -1, -2)
-    return T(mul(F, T(X), T(g)[None])[0])
 
 
 def pack(F, N, X):
@@ -178,7 +130,8 @@ def orbit_closure(F, N, gens, start, cap=10 ** 7):
     frontier = as_array(F, N, start)
     visited = pack(F, N, frontier)
     while len(frontier):
-        prods = np.stack([lmul(F, g, x) for g, x in zip(garr, mul(F, frontier, giarr))])
+        prods = np.stack([lmul(F, g[None], x)[0]
+                          for g, x in zip(garr, mul(F, frontier, giarr))])
         frontier, visited = _step(F, N, prods, visited)
         if len(visited) > cap:
             raise BallCapExceeded("orbit exceeded cap {}".format(cap))

@@ -6,7 +6,7 @@ Polynomials are coefficient lists of encodings, low degree first.  One numpy
 kernel, `charpoly_disc`, maps an (M, N, N) batch of matrices (a single one is
 a batch of one) to char polys and discriminants with ring operations only:
   * a matrix over GF(p^e) enters through its regular representation
-    (`bfs._regular`), a ring map into (N e, N e) matrices over F_p, so every
+    (`linalg._regular`), a ring map into (N e, N e) matrices over F_p, so every
     field product is an int64 matmul mod p, and F_p is the case e = 1;
   * Berkowitz's division-free algorithm gives det(x Id - A);
   * disc f = (-1)^(N(N-1)/2) det Syl(f, f'), the Sylvester matrix of f and
@@ -112,7 +112,7 @@ def charpoly_disc(F, X):
     deriv = (np.arange(N, 0, -1) % p)[:, None, None]
     coeffs, discs = [np.zeros((0, N + 1), np.int64)], [np.zeros(0, np.int64)]
     for start in range(0, M, _BLOCK):
-        f = _berkowitz(F, bfs._regular(F, X[start:start + _BLOCK]))
+        f = _berkowitz(F, linalg._regular(F, X[start:start + _BLOCK]))
         pool = np.concatenate([f, f[:, :-1] * deriv % p, np.zeros_like(f[:, :1])], 1)
         syl = pool[:, pick].swapaxes(2, 3).reshape(len(f), n2 * e, n2 * e)
         c0 = _berkowitz(F, syl)[:, -1]
@@ -129,7 +129,7 @@ def nonrs_mask(F, X):
 def char_poly(F, N, mat):
     """Monic char poly det(x Id - mat), coefficients low degree first: the
     kernel's Berkowitz stage on a batch of one."""
-    blocks = _berkowitz(F, bfs._regular(F, bfs.as_array(F, N, mat)))
+    blocks = _berkowitz(F, linalg._regular(F, linalg.as_array(F, N, mat)))
     return tuple(_encode(F, blocks[0, ::-1]).tolist())
 
 
@@ -138,7 +138,7 @@ CharPolyData = namedtuple("CharPolyData", "coeffs disc")
 
 
 def char_poly_data(F, N, mat):
-    coeffs, disc = charpoly_disc(F, bfs.as_array(F, N, mat))
+    coeffs, disc = charpoly_disc(F, linalg.as_array(F, N, mat))
     return CharPolyData(tuple(coeffs[0].tolist()), int(disc[0]))
 
 
@@ -159,8 +159,8 @@ def is_regular_semisimple(F, N, mat, crosscheck=False):
 def centralizer(F, N, g, universe):
     """Exact centralizer of g inside a materialized Ball universe."""
     E = universe.elements
-    gm = bfs.as_array(F, N, g)
-    mask = (bfs.mul(F, E, gm)[0] == bfs.lmul(F, gm[0], E)).all(axis=(1, 2))
+    gm = linalg.as_array(F, N, g)
+    mask = (linalg.mul(F, E, gm)[0] == linalg.lmul(F, gm, E)[0]).all(axis=(1, 2))
     return [tuple(row) for row in E[mask].reshape(-1, N * N).tolist()]
 
 
@@ -266,7 +266,7 @@ def relation_holds(spec, F, mat, rel):
 
 def count_nonrs_in_torus(spec, F, t_elements):
     """Exact count of non-regular-semisimple torus points, by the disc test."""
-    return int(nonrs_mask(F, bfs.as_array(F, spec.N, t_elements)).sum())
+    return int(nonrs_mask(F, linalg.as_array(F, spec.N, t_elements)).sum())
 
 
 def count_nonrs_by_catalogue(spec, F, t_elements):

@@ -33,7 +33,7 @@ from . import (
     varieties,
 )
 from .errors import ArtifactError, CapError, HypothesisError, TheoremError
-from .logscaled import LogScaled
+from .logscaled import LogScaled, _decimal
 
 
 def _sanitize(x):
@@ -61,9 +61,21 @@ def emit(report, fmt="json"):
         if not text.endswith("\n"):
             text += "\n"
         return text.encode()
-    payload = json.dumps(_sanitize(report), sort_keys=True,
-                         separators=(",", ":"))
-    return (payload + "\n").encode()
+    return (_json(_sanitize(report)) + "\n").encode()
+
+
+def _json(x):
+    """Compact JSON with sorted keys.  Integers stay JSON numbers at any size:
+    their digits come from logscaled._decimal, because json.dumps, like str(),
+    refuses integers past 4,300 digits."""
+    if isinstance(x, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + _json(v)
+                              for k, v in sorted(x.items())) + "}"
+    if isinstance(x, list):
+        return "[" + ",".join(map(_json, x)) + "]"
+    if isinstance(x, int) and not isinstance(x, bool):
+        return "-" * (x < 0) + _decimal(abs(x))
+    return json.dumps(x)
 
 
 def _field(q):
@@ -231,10 +243,7 @@ def _cmd_classify(args):
 
 def _cmd_degree(args):
     spec = _spec(args)
-    bound = degrees.table_degree_bound(spec)
-    exact = degrees.exact_group_degree(spec)
-    ok = (exact <= bound.exact) if bound.exact is not None else (
-        LogScaled.from_exact(exact).cmp(bound) <= 0)
+    exact, bound, ok = degrees.degree_bound_check(spec)
     return {
         "group": "{}_{}".format(spec.family, spec.n),
         "exact": exact,

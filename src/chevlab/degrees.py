@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 from . import linalg
 from .errors import InvariantViolation, KTooLarge, TheoremViolation
+from .logscaled import LogScaled
 
 ENUM_K_MAX = 12
 DET_K_MAX = 40
@@ -141,6 +142,17 @@ def exact_group_degree(spec):
 def table_degree_bound(spec):
     """The closed-form family bound; >= the exact degree whenever computable."""
     return spec.deg_bound
+
+
+def degree_bound_check(spec):
+    """(exact degree, table bound, whether the exact degree is within the
+    bound), compared exactly when the bound's integer is available and in
+    log space otherwise."""
+    bound = table_degree_bound(spec)
+    exact = exact_group_degree(spec)
+    ok = (exact <= bound.exact) if bound.exact is not None else (
+        LogScaled.from_exact(exact).cmp(bound) <= 0)
+    return exact, bound, ok
 
 
 def cl_degree_bound(spec):

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import bfs, classify, linalg
 from .errors import (
     NoEscapeWithinBall,
@@ -64,25 +66,22 @@ class EscapeInstance:
         self.action = action
 
     def act(self, g):
-        """Apply the group element to the instance's point."""
+        """The instance's point moved by g: one point for a flat matrix g,
+        the (M, m) array of points for an (M, N, N) array of encodings."""
         F, N = self.F, self.N
+        G = linalg.as_array(F, N, g)
         m = len(self.point)
         if self.action == "conjugation" or m == N * N:
-            X = self.point
-            gX = linalg.mat_mul(F, N, g, X)
+            out = linalg.lmul(F, G, linalg.as_array(F, N, self.point))[:, 0]
             if self.action == "conjugation":
-                return linalg.mat_mul(F, N, gX, linalg.inv(F, N, g))
-            return gX
-        if m != N:
+                out = linalg.matmul(F, out, linalg.as_array(
+                    F, N, [linalg.inv(F, N, h) for h in G.reshape(-1, N * N).tolist()]))
+        elif m == N:
+            out = linalg.lmul(F, G, np.array(self.point, dtype=np.int64)[:, None])
+        else:
             raise ShapeMismatch("left multiplication needs a length-N vector "
                                 "or a flattened matrix")
-        out = []
-        for i in range(N):
-            acc = 0
-            for j in range(N):
-                acc = F.add(acc, F.mul(g[i * N + j], self.point[j]))
-            out.append(acc)
-        return tuple(out)
+        return out.reshape(-1, m) if np.ndim(g) > 1 else out.reshape(m)
 
 
 class EscapeCertificate:
@@ -97,16 +96,17 @@ class EscapeCertificate:
 
 
 def _shortest_witness(F, N, gens, cap, hits, nothing):
-    """(k, g): the least word length k of an element g that `hits` (a mask of
-    a layer's flat matrices) marks, and the least such g at k by mat_ser.
-    The closure of gens saturates or raises BallCapExceeded, so when no
-    element hits, none of the generated group does: NoEscapeWithinBall."""
+    """(k, g): the least word length k of an element g that `hits` (a mask
+    over a layer's (M, N, N) array) marks, and the least such g at k by
+    mat_ser.  The closure of gens saturates or raises BallCapExceeded, so when
+    no element hits, none of the generated group does: NoEscapeWithinBall."""
     ball = bfs.closure(F, N, gens, cap=cap)
     for k in range(len(ball.offsets) - 1):
-        layer = list(map(tuple, ball.layer(k).reshape(-1, N * N).tolist()))
-        found = [g for g, hit in zip(layer, hits(layer)) if hit]
-        if found:
-            return k, min(found, key=lambda g: linalg.mat_ser(F, N, g))
+        layer = ball.layer(k)
+        found = map(tuple, layer[hits(layer)].reshape(-1, N * N).tolist())
+        witness = min(found, key=lambda g: linalg.mat_ser(F, N, g), default=None)
+        if witness is not None:
+            return k, witness
     raise NoEscapeWithinBall(nothing)
 
 
@@ -116,7 +116,7 @@ def escape_point(inst, cap=10 ** 6):
     ball, so it also proves that the orbit leaves the variety."""
     k, witness = _shortest_witness(
         inst.F, inst.N, inst.generators, cap,
-        lambda gs: [not inst.variety.contains(inst.act(g)) for g in gs],
+        lambda X: ~inst.variety.contains(inst.act(X)),
         "the whole orbit lies inside the variety")
     bound = escape_bound(inst.variety.declared_dim, inst.variety.declared_deg)
     if k > bound["exact"]:
@@ -128,44 +128,22 @@ def escape_point(inst, cap=10 ** 6):
 
 def iota(F, N, mat):
     """iota(M) = ((1, 0), (0, M)) as a flat (N+1)x(N+1) matrix."""
-    Np = N + 1
-    out = [0] * (Np * Np)
-    out[0] = 1
-    for i in range(N):
-        for j in range(N):
-            out[(i + 1) * Np + (j + 1)] = mat[i * N + j]
-    return tuple(out)
+    rows = [[1] + [0] * N] + [[0] + list(mat[i * N:(i + 1) * N]) for i in range(N)]
+    return tuple(x for row in rows for x in row)
 
 
 def rho_iota(F, N, D, mat):
-    """The D-fold tensor power of iota(M), flat over Mat_{(N+1)^D}."""
+    """The D-fold tensor power of iota(M), flat over Mat_{(N+1)^D}: entry
+    (i_1..i_D),(j_1..j_D) is prod_t iota(M)[i_t][j_t], i_1 most significant."""
     Np = N + 1
     base = iota(F, N, mat)
-    Nt = Np ** D
-    out = [0] * (Nt * Nt)
-    # entry at (i_1..i_D),(j_1..j_D) = prod base[i_t][j_t]
-    for I in range(Nt):
-        idig = _digits(I, Np, D)
-        row = []
-        for J in range(Nt):
-            jdig = _digits(J, Np, D)
-            val = 1
-            for it, jt in zip(idig, jdig):
-                val = F.mul(val, base[it * Np + jt])
-                if val == 0:
-                    break
-            row.append(val)
-        out[I * Nt:(I + 1) * Nt] = row
+    out, size = [1], 1
+    for _ in range(D):
+        out = [F.mul(out[I * size + J], base[i * Np + j])
+               for I in range(size) for i in range(Np)
+               for J in range(size) for j in range(Np)]
+        size *= Np
     return tuple(out)
-
-
-def _digits(x, base, width):
-    out = []
-    for _ in range(width):
-        out.append(x % base)
-        x //= base
-    out.reverse()
-    return out
 
 
 def _pack(digits, base):
@@ -218,7 +196,7 @@ def shitov_escape(inst, cap=10 ** 6):
     D = max(max(P.total_degree for P in V.polys), 1)
     k, witness = _shortest_witness(
         F, N, inst.generators, cap,
-        lambda gs: [any(P.evaluate(g) != 0 for P in V.polys) for g in gs],
+        lambda X: ~V.contains(X.reshape(len(X), N * N)),
         "generated subgroup lies inside the variety")
     if float(k) >= 11 * D * (N + 1) ** D * math.log(N):
         raise TheoremViolation("Shitov bound violated")
@@ -232,7 +210,7 @@ def find_regular_semisimple(F, spec, generators):
     N, r = spec.N, spec.r
     k, witness = _shortest_witness(
         F, N, generators, 10 ** 6,
-        lambda gs: ~classify.nonrs_mask(F, bfs.as_array(F, N, gs)),
+        lambda X: ~classify.nonrs_mask(F, X),
         "no regular semisimple element in the generated subgroup")
     bound = LogScaled.power(2 * r, 4 * r * r + 3 * r)
     if LogScaled.from_exact(max(k, 1)).cmp(bound) > 0:

@@ -8,9 +8,12 @@ O = ((0, Id), (-Id, 0)).  Characteristic 2 is out of scope throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from . import linalg
+import numpy as np
+
+from . import bfs, linalg
 from .errors import (
     BadCharacteristic,
     BadEta,
@@ -319,16 +322,15 @@ def torus_conjugate_count_bound(spec, q):
 
 
 def exact_torus_conjugate_count(spec, F, universe):
-    """|G| / |N(T)| for the canonical maximal torus, by scanning a
-    materialized universe (list of flat matrices); verify criterion 1."""
-    torus = set(torus_points(spec, F))
+    """|G| / |N(T)| for the canonical maximal torus T, by scanning a
+    materialized universe (a Ball); verify criterion 1.  g normalizes T
+    exactly when gT = Tg, which holds when the sorted keys of the two agree."""
     N = spec.N
-    count = 0
-    for g in universe:
-        gi = linalg.inv(F, N, g)
-        if all(linalg.mat_mul(F, N, linalg.mat_mul(F, N, g, t), gi) in torus
-               for t in torus):
-            count += 1
+    torus = linalg.as_array(F, N, torus_points(spec, F))
+    E = universe.elements
+    keys = [np.sort(bfs.pack(F, N, X.reshape(-1, N, N)).reshape(len(torus), -1), axis=0)
+            for X in (linalg.mul(F, E, torus), linalg.lmul(F, torus, E))]
+    count = int((keys[0] == keys[1]).all(axis=0).sum())
     if len(universe) % count:
         raise TheoremViolation("|N(T)| does not divide |G| (Lagrange)")
     return len(universe) // count
@@ -343,36 +345,29 @@ def torus_points(spec, F, eta=(), cap=10 ** 7):
     eta = TorusSpec(spec, eta).eta  # checks its length and eta_n != 0
     n = spec.nparams
     N = spec.N
-    units = [a for a in range(1, F.q)]
     if spec.family in ("SL", "Sp"):
-        if (F.q - 1) ** (n if spec.family == "Sp" else n - 1) > cap:
+        free = n - 1 if spec.family == "SL" else n
+        if (F.q - 1) ** free > cap:
             raise TorusTooLarge("torus enumeration exceeds the cap")
         out = []
-        free = n - 1 if spec.family == "SL" else n
-        stack = [()]
-        for _ in range(free):
-            stack = [tup + (u,) for tup in stack for u in units]
-        for tup in stack:
+        for xs in itertools.product(range(1, F.q), repeat=free):
             if spec.family == "SL":
                 prod = 1
-                for u in tup:
+                for u in xs:
                     prod = F.mul(prod, u)
-                xs = tup + (F.inv(prod),)
-                mat = [0] * (N * N)
-                for i in range(n):
-                    mat[i * N + i] = xs[i]
+                xs += (F.inv(prod),)
+                diag = xs
             else:
-                xs = tup
-                mat = [0] * (N * N)
-                for i in range(n):
-                    mat[i * N + i] = xs[i]
-                    mat[(n + i) * N + (n + i)] = F.inv(xs[i])
+                diag = xs + tuple(F.inv(x) for x in xs)
             if eta:
                 val = 1
                 for x, h in zip(xs, eta):
                     val = F.mul(val, F.pow(x, h % (F.q - 1)))
                 if val != 1:
                     continue
+            mat = [0] * (N * N)
+            for i, x in enumerate(diag):
+                mat[i * N + i] = x
             out.append(tuple(mat))
         return out
     if eta:
@@ -382,11 +377,8 @@ def torus_points(spec, F, eta=(), cap=10 ** 7):
     circle = so_circle_points(F)
     if len(circle) ** n > cap:
         raise TorusTooLarge("torus enumeration exceeds the cap")
-    tuples = [()]
-    for _ in range(n):
-        tuples = [tup + (cs,) for tup in tuples for cs in circle]
     out = []
-    for tup in tuples:
+    for tup in itertools.product(circle, repeat=n):
         mat = [0] * (N * N)
         for i, (c, s) in enumerate(tup):
             mat[(2 * i) * N + (2 * i)] = c
@@ -478,36 +470,19 @@ def standard_generators(spec, F):
                     gens.append(_transvection(N, a, b, c))
         return _dedup(gens)
     if spec.family == "Sp":
-        # symplectic transvections x -> x + c <x, v> v over a spanning set of v
-        n = spec.n
-        om = omega_enc(F, n)
-        vs = []
-        for i in range(N):
-            v = [0] * N
-            v[i] = 1
-            vs.append(v)
-        for i in range(N):
-            for j in range(i + 1, N):
-                v = [0] * N
-                v[i] = 1
-                v[j] = 1
-                vs.append(v)
+        # symplectic transvections x -> x + c <x, v> v over a spanning set of
+        # 0/1 vectors v: each e_i, then each e_i + e_j with i < j
+        om = omega_enc(F, spec.n)
         gens = [linalg.identity(N)]
-        for v in vs:
+        for support in [(i,) for i in range(N)] + list(itertools.combinations(range(N), 2)):
             ov = [0] * N  # (v^T O)_j
-            for jcol in range(N):
-                acc = 0
-                for k in range(N):
-                    acc = F.add(acc, F.mul(F.from_int(v[k]), om[k * N + jcol]))
-                ov[jcol] = acc
+            for k in support:
+                ov = [F.add(x, om[k * N + j]) for j, x in enumerate(ov)]
             for ce in params:
                 mat = list(linalg.identity(N))
-                for irow in range(N):
-                    if v[irow]:
-                        for jcol in range(N):
-                            mat[irow * N + jcol] = F.add(
-                                mat[irow * N + jcol],
-                                F.mul(ce, F.mul(F.from_int(v[irow]), ov[jcol])))
+                for irow in support:
+                    for jcol in range(N):
+                        mat[irow * N + jcol] = F.add(mat[irow * N + jcol], F.mul(ce, ov[jcol]))
                 gens.append(tuple(mat))
         return _dedup(gens)
     raise FamilyNotSupported("no standard generators shipped for {}".format(spec.family))
@@ -523,43 +498,47 @@ def _dedup(mats):
     return out
 
 
+def random_lie_block(spec, F, rng, m):
+    """A uniformly random element of so_m (SO) or sp_2m (Sp) as a flat N x N
+    matrix: the so block on the leading m coordinates, the sp blocks on
+    coordinates 0..m-1 and n..n+m-1, zero elsewhere."""
+    N, n = spec.N, spec.n
+    mat = [0] * (N * N)
+    if spec.family in ("SOeven", "SOodd"):
+        for i in range(m):
+            for j in range(i + 1, m):
+                c = rng.randrange(F.q)
+                mat[i * N + j] = c
+                mat[j * N + i] = F.neg(c)
+        return tuple(mat)
+    for i in range(m):
+        for j in range(m):
+            a = rng.randrange(F.q)
+            mat[i * N + j] = a
+            mat[(n + j) * N + (n + i)] = F.neg(a)
+    for i in range(m):
+        for j in range(i, m):
+            b = rng.randrange(F.q)
+            mat[i * N + (n + j)] = b
+            mat[j * N + (n + i)] = b
+            c = rng.randrange(F.q)
+            mat[(n + i) * N + j] = c
+            mat[(n + j) * N + i] = c
+    return tuple(mat)
+
+
 def random_lie_element(spec, F, rng):
     """A uniformly random element of g(F_q) (flat matrix)."""
     N = spec.N
-    q = F.q
     if spec.family == "SL":
-        mat = [rng.randrange(q) for _ in range(N * N)]
+        mat = [rng.randrange(F.q) for _ in range(N * N)]
         # fix the last diagonal entry to zero the trace
         t = 0
         for i in range(N - 1):
             t = F.add(t, mat[i * N + i])
         mat[(N - 1) * N + (N - 1)] = F.neg(t)
         return tuple(mat)
-    if spec.family in ("SOeven", "SOodd"):
-        mat = [0] * (N * N)
-        for i in range(N):
-            for j in range(i + 1, N):
-                c = rng.randrange(q)
-                mat[i * N + j] = c
-                mat[j * N + i] = F.neg(c)
-        return tuple(mat)
-    # sp
-    n = spec.n
-    mat = [0] * (N * N)
-    for i in range(n):
-        for j in range(n):
-            a = rng.randrange(q)
-            mat[i * N + j] = a
-            mat[(n + j) * N + (n + i)] = F.neg(a)
-    for i in range(n):
-        for j in range(i, n):
-            b = rng.randrange(q)
-            mat[i * N + (n + j)] = b
-            mat[j * N + (n + i)] = b
-            c = rng.randrange(q)
-            mat[(n + i) * N + j] = c
-            mat[(n + j) * N + i] = c
-    return tuple(mat)
+    return random_lie_block(spec, F, rng, N if spec.family != "Sp" else spec.n)
 
 
 def random_group_element(spec, F, rng):
@@ -567,15 +546,17 @@ def random_group_element(spec, F, rng):
     families via the Cayley map on random Lie elements."""
     N = spec.N
     if spec.family == "SL":
-        mat = linalg.identity(N)
+        mat = list(linalg.identity(N))
         for _ in range(3 * N):
             i = rng.randrange(N)
             j = rng.randrange(N - 1)
             if j >= i:
                 j += 1
             c = rng.randrange(1, F.q)
-            mat = linalg.mat_mul(F, N, mat, _transvection(N, i, j, c))
-        return mat
+            # right multiplication by Id + c E_ij adds c * column i to column j
+            for k in range(0, N * N, N):
+                mat[k + j] = F.add(mat[k + j], F.mul(c, mat[k + i]))
+        return tuple(mat)
     ident = linalg.identity(N)
     while True:
         x = random_lie_element(spec, F, rng)

@@ -67,22 +67,21 @@ class GenSet:
             if misses >= STALL_DRAWS * (s + 1):
                 raise SamplerStalled("{} draws in a row found no new element; "
                                      "have {} of {}".format(misses, len(pool), s + 1))
-        out = [linalg.identity(spec.N)]
-        out.extend(sorted(pool - {linalg.identity(spec.N)}))
-        return GenSet(spec, F, out, check=False)
+        return GenSet(spec, F, _identity_first(spec, pool), check=False)
 
     @staticmethod
     def random_symmetric(spec, F, s, rng):
         """Sample s elements, close under inverse, add identity."""
         mats = [groups.random_group_element(spec, F, rng) for _ in range(s)]
-        pool = {m for m in mats}
-        for m in mats:
-            pool.add(linalg.inv(F, spec.N, m))
-        pool.add(linalg.identity(spec.N))
-        # keep a deterministic order: identity first, then sorted
-        out = [linalg.identity(spec.N)]
-        out.extend(sorted(pool - {linalg.identity(spec.N)}))
-        return GenSet(spec, F, out)
+        pool = set(mats) | {linalg.inv(F, spec.N, m) for m in mats}
+        return GenSet(spec, F, _identity_first(spec, pool))
+
+
+def _identity_first(spec, pool):
+    """A deterministic order of a set of flat matrices: the identity, then
+    the rest sorted."""
+    ident = linalg.identity(spec.N)
+    return [ident] + sorted(pool - {ident})
 
 
 class Materialized:
@@ -226,7 +225,7 @@ def _target_membership(A, target, cap):
         return keys, spec.dim - spec.r, "class"
     if kind in ("torus", "torus_nonrs"):
         eta = tuple(target[1]) if len(target) > 1 and target[1] else ()
-        pts = bfs.as_array(F, N, groups.torus_points(spec, F, eta, cap=cap))
+        pts = linalg.as_array(F, N, groups.torus_points(spec, F, eta, cap=cap))
         if kind == "torus_nonrs":
             pts = pts[classify.nonrs_mask(F, pts)]
         dim_v = spec.r if not eta else spec.r - 1

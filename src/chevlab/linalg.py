@@ -4,6 +4,15 @@ Matrices are flat row-major tuples of field-element encodings; the pair
 (n, mat) with len(mat) == n*n travels together.  Flat tuples double as hash
 keys for BFS tables and as the serialization backbone.
 
+Every GF(q) matrix product goes through one numpy kernel, `matmul`, on int64
+arrays of encodings: a matrix over GF(p^e) enters through its regular
+representation (`_regular`), a ring map into (N e, N e) matrices over F_p, so
+each field product is an int64 matmul mod p, and F_p is the case e = 1.
+Entries stay below p, so a matmul sums < N e terms below p^2 < 2^40: no int64
+overflow for q <= 2^20.  `mul` and `lmul` multiply a whole batch by each of a
+few matrices as one tall matmul per matrix; `mat_mul` is the kernel on a
+batch of one.
+
 All row reduction goes through one incremental step, `echelon_add`: `det`
 multiplies the pivot values it returns, `inv` and `nullspace` read the
 reduced echelon form that two passes of it give, and the torus rank
@@ -12,6 +21,8 @@ certificates and the LGV path determinant call it directly or through `det`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ShapeMismatch
 
 
@@ -19,20 +30,64 @@ def identity(n):
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
+def as_array(F, N, mats):
+    """Flat matrices as an (M, N, N) int64 array of encodings."""
+    arr = np.array(mats, dtype=np.int64).reshape(-1, N, N)
+    return arr % F.p if F.e == 1 else arr
+
+
+def _digits(F, a):
+    """The F_p coordinates of encodings, on a new last axis (low degree first)."""
+    return a[..., None] // F.p ** np.arange(F.e) % F.p
+
+
+def _regular(F, gens):
+    """Each (N, N) matrix over GF(p^e) of an (..., N, N) array as the
+    (N e, N e) matrix over F_p of its action on coordinate rows: entry y
+    becomes the block of x -> x*y."""
+    p, e, N = F.p, F.e, gens.shape[-1]
+    rows = [_digits(F, gens)]           # rows[d][..., k, j, :] = t^d * y_kj
+    red = -np.array(F.modulus[:e], dtype=np.int64) % p   # t^e = sum red_i t^i
+    for _ in range(e - 1):
+        last = rows[-1]
+        rows.append((np.concatenate([np.zeros_like(last[..., :1]), last[..., :-1]], -1)
+                     + last[..., -1:] * red) % p)
+    rep = np.swapaxes(np.stack(rows, -2), -3, -2)
+    return rep.reshape(gens.shape[:-2] + (N * e, N * e))
+
+
+def matmul(F, A, B):
+    """The field product A @ B of int64 arrays of encodings, (..., K, N) by
+    (..., N, N), leading axes broadcast as in np.matmul."""
+    p, e, N = F.p, F.e, B.shape[-1]
+    if e > 1:
+        A = _digits(F, A).reshape(A.shape[:-1] + (N * e,))
+        B = _regular(F, B)
+    out = np.matmul(A, B)
+    out %= p
+    if e > 1:
+        out = out.reshape(out.shape[:-1] + (N, e)) @ p ** np.arange(e)
+    return out
+
+
+def mul(F, X, gens):
+    """The field products X @ g for every g in the (G, N, N) array gens, as
+    one array of shape (G,) + X.shape: the rows of X stacked into one tall
+    matrix, so each g costs one large matmul."""
+    N = X.shape[-1]
+    return matmul(F, X.reshape(1, -1, N), gens).reshape((len(gens),) + X.shape)
+
+
+def lmul(F, gens, X):
+    """The field products g @ X for every g in the (G, N, N) array gens, as
+    (X^T g^T)^T, of shape (G,) + X.shape."""
+    T = lambda A: np.swapaxes(A, -1, -2)
+    return T(mul(F, T(X), T(gens)))
+
+
 def mat_mul(F, n, a, b):
-    add, mul = F.add, F.mul
-    out = [0] * (n * n)
-    for i in range(n):
-        row = a[i * n:(i + 1) * n]
-        base = i * n
-        for k in range(n):
-            x = row[k]
-            if x:
-                brow = b[k * n:(k + 1) * n]
-                for j in range(n):
-                    if brow[j]:
-                        out[base + j] = add(out[base + j], mul(x, brow[j]))
-    return tuple(out)
+    """The product of two flat matrices: the kernel on a batch of one."""
+    return tuple(matmul(F, as_array(F, n, a), as_array(F, n, b)).ravel().tolist())
 
 
 def mat_add(F, a, b):

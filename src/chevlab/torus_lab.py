@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import groups, linalg
 from .errors import (
     BadEta,
@@ -147,49 +149,31 @@ def explicit_h_matrices(t, F):
 
 def _embed_random(t, F, rng):
     """A random Lie element of the next-lower-rank subalgebra, embedded so it
-    vanishes on the final block of coordinates."""
+    vanishes on the final block of coordinates: so_{N-2} (SOeven), so_{N-1}
+    (SOodd) or sp_{2n-2}, with zero rows/columns at n-1 and 2n-1."""
     spec = t.spec
-    N = spec.N
-    fam, n = spec.family, spec.n
+    fam = spec.family
     if fam == "SL":
         return groups.random_lie_element(spec, F, rng)
-    if fam in ("SOeven", "SOodd"):
-        # so_{N-2} (SOeven) or so_{N-1} (SOodd), padded with zero rows/columns
-        m = N - 2 if fam == "SOeven" else N - 1
-        mat = [0] * (N * N)
-        for i in range(m):
-            for j in range(i + 1, m):
-                c = rng.randrange(F.q)
-                mat[i * N + j] = c
-                mat[j * N + i] = F.neg(c)
-        return tuple(mat)
-    # sp_{2n-2} embedded with zero row/column at indices n-1 and 2n-1
-    m = n - 1
-    mat = [0] * (N * N)
-    for i in range(m):
-        for j in range(m):
-            a = rng.randrange(F.q)
-            mat[i * N + j] = a
-            mat[(n + j) * N + (n + i)] = F.neg(a)
-    for i in range(m):
-        for j in range(i, m):
-            b = rng.randrange(F.q)
-            mat[i * N + (n + j)] = b
-            mat[j * N + (n + i)] = b
-            c = rng.randrange(F.q)
-            mat[(n + i) * N + j] = c
-            mat[(n + j) * N + i] = c
-    return tuple(mat)
+    m = {"SOeven": spec.N - 2, "SOodd": spec.N - 1, "Sp": spec.n - 1}[fam]
+    return groups.random_lie_block(spec, F, rng, m)
 
 
 # --- exact incremental rank ---
 
 def _image_rows(t_basis, g, F, N, mode):
+    """The rows [g, b] (lie_bracket) or g b g^-1 (adjoint) for the basis b."""
+    B = linalg.as_array(F, N, [b.mat for b in t_basis])
+    G = linalg.as_array(F, N, g)
     if mode == "lie_bracket":
-        return [linalg.bracket(F, N, g, b.mat) for b in t_basis]
-    gi = linalg.inv(F, N, g)
-    return [linalg.mat_mul(F, N, linalg.mat_mul(F, N, g, b.mat), gi)
-            for b in t_basis]
+        # [g, b] = g b - b g is the block product (g | b) (b ; -g)
+        G, negG = (np.broadcast_to(x, B.shape)
+                   for x in (G, linalg.as_array(F, N, linalg.mat_neg(F, g))))
+        rows = linalg.matmul(F, np.concatenate([G, B], -1), np.concatenate([B, negG], -2))
+    else:
+        Gi = linalg.as_array(F, N, linalg.inv(F, N, g))
+        rows = linalg.mul(F, linalg.lmul(F, G, B)[0], Gi)[0]
+    return rows.reshape(len(B), N * N).tolist()
 
 
 def _greedy_completion(t, F, mode, basis, echelon, rng, count):

@@ -8,9 +8,11 @@ the point-count report checks them against the |V(F_q)| <= D q^d bound.
 
 from __future__ import annotations
 
-import itertools
 import re
 
+import numpy as np
+
+from . import linalg
 from .errors import AmbientMismatch, AmbientTooLarge, ArityMismatch
 
 
@@ -38,19 +40,25 @@ class Poly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def evaluate(self, point):
-        if len(point) != self.nvars:
+    def evaluate(self, points):
+        """P at an (..., nvars) array of encodings, as an (...) array; a
+        single point is the same array with no leading axis.  Values stay F_p
+        coordinate rows: a product by x is a matmul by the regular
+        representation of x, and a sum is an addition mod p."""
+        F, p = self.F, self.F.p
+        X = np.asarray(points, dtype=np.int64)
+        if X.shape[-1:] != (self.nvars,):
             raise ArityMismatch("point length {} != nvars {}".format(
-                len(point), self.nvars))
-        F = self.F
-        acc = 0
+                X.shape[-1] if X.ndim else 0, self.nvars))
+        times = linalg._regular(F, X[..., None, None])   # (..., nvars, e, e)
+        acc = np.zeros(X.shape[:-1] + (1, F.e), dtype=np.int64)
         for exps, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    val = F.mul(val, F.pow(x, e))
-            acc = F.add(acc, val)
-        return acc
+            val = linalg._digits(F, np.array([coeff]))   # (1, e)
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    val = val @ times[..., i, :, :] % p
+            acc = (acc + val) % p
+        return acc[..., 0, :] @ p ** np.arange(F.e)
 
     def ser(self):
         if not self.terms:
@@ -69,10 +77,6 @@ class Poly:
 
     def __repr__(self):
         return "Poly({})".format(self.ser())
-
-
-def evaluate(P, point):
-    return P.evaluate(point)
 
 
 _TERM_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -135,21 +139,33 @@ class VarietySpec:
         self.declared_dim = declared_dim
         self.declared_deg = declared_deg
 
-    def contains(self, point):
-        return all(P.evaluate(point) == 0 for P in self.polys)
+    def contains(self, points):
+        """Which points of an (..., ambient) array lie on the variety."""
+        mask = np.ones(np.shape(points)[:-1], dtype=bool)
+        for P in self.polys:
+            mask &= P.evaluate(points) == 0
+        return mask
 
     def __repr__(self):
         return "VarietySpec(ambient={}, dim={}, deg={}, {} polys)".format(
             self.ambient, self.declared_dim, self.declared_deg, len(self.polys))
 
 
+_SLAB = 1 << 15  # points per slab of the point-count scan
+
+
 def point_count(V, F, cap=10 ** 8):
-    """Exact |V(F_q)| by one in-order odometer scan of F_q^ambient (the last
-    coordinate turning fastest), with the D q^d report."""
+    """Exact |V(F_q)| by one in-order scan of F_q^ambient (the last
+    coordinate turning fastest) in slabs of _SLAB points, with the D q^d
+    report."""
     total = F.q ** V.ambient
     if total > cap:
         raise AmbientTooLarge("q^ambient = {} exceeds cap {}".format(total, cap))
-    count = sum(map(V.contains, itertools.product(range(F.q), repeat=V.ambient)))
+    place = F.q ** np.arange(V.ambient - 1, -1, -1, dtype=np.int64)
+    count = 0
+    for start in range(0, total, _SLAB):
+        index = np.arange(start, min(start + _SLAB, total), dtype=np.int64)
+        count += int(V.contains(index[:, None] // place % F.q).sum())
     bound = V.declared_deg * F.q ** V.declared_dim
     return {
         "count": count,

@@ -158,7 +158,7 @@ def matrix_batch(draw):
 @given(matrix_batch())
 def test_kernel_matches_scalar_oracle(case):
     F, N, mats = case
-    coeffs, discs = classify.charpoly_disc(F, bfs.as_array(F, N, mats))
+    coeffs, discs = classify.charpoly_disc(F, linalg.as_array(F, N, mats))
     assert coeffs.shape == (len(mats), N + 1) and discs.shape == (len(mats),)
     for m, c, d in zip(mats, coeffs.tolist(), discs.tolist()):
         want = hessenberg_char_poly(F, N, m)

@@ -1,9 +1,10 @@
+import decimal
 import json
 import pathlib
 
 import pytest
 
-from chevlab import cli
+from chevlab import cli, groups
 
 
 def _run(argv, capsys):
@@ -62,6 +63,17 @@ def test_constants_print_exact_integers_past_the_str_limit(capsys):
     code, out = _run(["constants", "--which", "growth", "--r", "5"], capsys)
     assert code == 0
     assert json.loads(out)["pairs"][0]["m"]["exact"] == "1" + "0" * 5625
+
+
+def test_order_prints_plain_integers_past_the_str_limit(capsys):
+    # |SL(50, 101)| has 5,009 digits; it stays a JSON number
+    code, out = _run(["order", "--group", "SL", "--n", "50", "--q", "101"], capsys)
+    assert code == 0
+    order = json.loads(out, parse_int=decimal.Decimal)["order"]
+    assert isinstance(order, decimal.Decimal)
+    assert int(order) == groups.group_order(groups.GroupSpec("SL", 50), 101)
+    assert len(order.as_tuple().digits) == 5009
+    assert cli.emit({"n": -10 ** 5000}) == b'{"n":-1' + b"0" * 5000 + b"}\n"
 
 
 def test_torus_cert_subcommand(capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from test_linalg import oracle_mat_mul
 
 from chevlab import bfs, gf, groups, linalg
 from chevlab.errors import (
@@ -179,9 +180,60 @@ def test_exact_torus_conjugate_count_sl2():
     spec = groups.GroupSpec("SL", 2)
     F = gf.make_field(5)
     ball = bfs.closure(F, 2, groups.standard_generators(spec, F))
-    exact = groups.exact_torus_conjugate_count(spec, F, list(ball.mats()))
+    exact = groups.exact_torus_conjugate_count(spec, F, ball)
     assert exact == 15  # |G| / |N(T)| = 120 / 8
     assert exact >= groups.torus_conjugate_count_bound(spec, 5)
+
+
+def oracle_torus_conjugate_count(spec, F, universe):
+    """|G| / |N(T)| by testing g t g^-1 in T for each g and t, one scalar
+    product at a time."""
+    torus = set(groups.torus_points(spec, F))
+    N = spec.N
+    count = 0
+    for g in universe:
+        gi = linalg.inv(F, N, g)
+        if all(oracle_mat_mul(F, N, oracle_mat_mul(F, N, g, t), gi) in torus for t in torus):
+            count += 1
+    return len(universe) // count
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
+def test_torus_conjugate_count_matches_the_scalar_normalizer(q):
+    spec = groups.GroupSpec("SL", 2)
+    F = gf.make_field(*gf.factor_prime_power(q))
+    ball = bfs.closure(F, 2, groups.standard_generators(spec, F))
+    assert len(ball) == groups.group_order(spec, q)
+    assert groups.exact_torus_conjugate_count(spec, F, ball) == \
+        oracle_torus_conjugate_count(spec, F, list(ball.mats()))
+
+
+def oracle_random_sl_element(N, F, rng):
+    """The SL sampler as a product of transvection matrices, one scalar
+    product per transvection."""
+    mat = linalg.identity(N)
+    for _ in range(3 * N):
+        i = rng.randrange(N)
+        j = rng.randrange(N - 1)
+        if j >= i:
+            j += 1
+        t = list(linalg.identity(N))
+        t[i * N + j] = rng.randrange(1, F.q)
+        mat = oracle_mat_mul(F, N, mat, tuple(t))
+    return mat
+
+
+@pytest.mark.parametrize("q", [3, 7, 9, 25])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_random_sl_element_matches_the_transvection_product(N, q):
+    spec = groups.GroupSpec("SL", N)
+    F = gf.make_field(*gf.factor_prime_power(q))
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert groups.random_group_element(spec, F, rng) == \
+                oracle_random_sl_element(N, F, ref)
+        assert rng.random() == ref.random()  # the same draws, in order
 
 
 def test_hypotheses_report_shape():

@@ -7,6 +7,21 @@ from chevlab import gf, linalg
 from test_classify import resultant
 
 FIELDS = {5: gf.make_field(5), 7: gf.make_field(7), 9: gf.make_field(3, 2)}
+PRODUCT_FIELDS = {q: gf.make_field(*gf.factor_prime_power(q)) for q in (3, 5, 7, 9, 25)}
+
+
+def oracle_mat_mul(F, n, a, b):
+    """The scalar triple loop over FieldSpec arithmetic: the oracle for the
+    array kernel behind linalg.mat_mul, mul and lmul."""
+    add, mul = F.add, F.mul
+    out = [0] * (n * n)
+    for i in range(n):
+        for k in range(n):
+            x = a[i * n + k]
+            if x:
+                for j in range(n):
+                    out[i * n + j] = add(out[i * n + j], mul(x, b[k * n + j]))
+    return tuple(out)
 
 
 @st.composite
@@ -122,3 +137,36 @@ def test_resultant_matches_sylvester_determinant(q, data):
     else:
         want = linalg.det(F, n + m, sylvester(a, b))
     assert resultant(F, a, b) == want
+
+
+@st.composite
+def field_and_batches(draw):
+    """(F, n, X, gens): a batch X of 0..4 flat n x n matrices and 1..3
+    matrices gens over one of PRODUCT_FIELDS."""
+    F = PRODUCT_FIELDS[draw(st.sampled_from(sorted(PRODUCT_FIELDS)))]
+    n = draw(st.integers(1, 4))
+    mat = st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n).map(tuple)
+    return (F, n, draw(st.lists(mat, max_size=4)), draw(st.lists(mat, min_size=1, max_size=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_and_batches())
+def test_array_products_match_the_scalar_oracle(case):
+    F, n, X, gens = case
+    A, G = linalg.as_array(F, n, X), linalg.as_array(F, n, gens)
+    rows = lambda arr: [tuple(m) for m in arr.reshape(-1, n * n).tolist()]
+    assert linalg.mul(F, A, G).shape == linalg.lmul(F, G, A).shape == (len(G), len(A), n, n)
+    assert rows(linalg.mul(F, A, G)) == [oracle_mat_mul(F, n, x, g) for g in gens for x in X]
+    assert rows(linalg.lmul(F, G, A)) == [oracle_mat_mul(F, n, g, x) for g in gens for x in X]
+    for x in X:
+        for g in gens:
+            assert linalg.mat_mul(F, n, x, g) == oracle_mat_mul(F, n, x, g)
+    # pairwise products, the leading axes broadcast as in np.matmul
+    k = min(len(X), len(G))
+    assert rows(linalg.matmul(F, A[:k], G[:k])) == [
+        oracle_mat_mul(F, n, x, g) for x, g in zip(X, gens)]
+    # a product of a single (K, n) block of rows
+    if X:
+        assert rows(linalg.matmul(F, A[0], G[0])) == [oracle_mat_mul(F, n, X[0], gens[0])]
+        assert linalg.matmul(F, A[0][:1], G[0]).tolist() == [
+            list(oracle_mat_mul(F, n, X[0], gens[0])[:n])]
