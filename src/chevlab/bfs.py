@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BallCapExceeded
-from .linalg import as_array, inv, lmul, mul
+from .linalg import as_array, inv, matmul, mul
 
 
 class Ball:
@@ -130,8 +130,7 @@ def orbit_closure(F, N, gens, start, cap=10 ** 7):
     frontier = as_array(F, N, start)
     visited = pack(F, N, frontier)
     while len(frontier):
-        prods = np.stack([lmul(F, g[None], x)[0]
-                          for g, x in zip(garr, mul(F, frontier, giarr))])
+        prods = matmul(F, garr[:, None], mul(F, frontier, giarr))
         frontier, visited = _step(F, N, prods, visited)
         if len(visited) > cap:
             raise BallCapExceeded("orbit exceeded cap {}".format(cap))

@@ -65,11 +65,10 @@ class EscapeInstance:
         self.point = point
         self.action = action
 
-    def act(self, g):
-        """The instance's point moved by g: one point for a flat matrix g,
-        the (M, m) array of points for an (M, N, N) array of encodings."""
+    def act(self, G):
+        """The (M, m) array of the instance's point moved by each matrix of
+        the (M, N, N) array G of encodings."""
         F, N = self.F, self.N
-        G = linalg.as_array(F, N, g)
         m = len(self.point)
         if self.action == "conjugation" or m == N * N:
             out = linalg.lmul(F, G, linalg.as_array(F, N, self.point))[:, 0]
@@ -81,7 +80,7 @@ class EscapeInstance:
         else:
             raise ShapeMismatch("left multiplication needs a length-N vector "
                                 "or a flattened matrix")
-        return out.reshape(-1, m) if np.ndim(g) > 1 else out.reshape(m)
+        return out.reshape(-1, m)
 
 
 class EscapeCertificate:

@@ -109,22 +109,29 @@ def omega_enc(F, n):
     return tuple(F.from_int(x) for x in omega(n))
 
 
+def members(F, mats, spec):
+    """Exact check of the family's defining equations for each flat matrix
+    in `mats`, as a bool array; SO and Sp test x^T x = Id or x^T O x = O
+    on the whole list with batched products."""
+    N = spec.N
+    if any(len(m) != N * N for m in mats):
+        raise ShapeMismatch("expected a flat {0}x{0} matrix".format(N))
+    if spec.family != "Sp":
+        ok = np.array([linalg.det(F, N, m) == 1 for m in mats], dtype=bool)
+        if spec.family == "SL":
+            return ok
+        form = linalg.as_array(F, N, linalg.identity(N))[0]
+    else:
+        ok = np.ones(len(mats), dtype=bool)
+        form = linalg.as_array(F, N, omega_enc(F, spec.n))[0]
+    X = linalg.as_array(F, N, mats)
+    lhs = linalg.matmul(F, linalg.matmul(F, np.swapaxes(X, -1, -2), form), X)
+    return ok & (lhs == form).all(axis=(-1, -2))
+
+
 def is_member(F, mat, spec):
     """Exact check of the family's defining equations."""
-    N = spec.N
-    if len(mat) != N * N:
-        raise ShapeMismatch("expected a flat {0}x{0} matrix".format(N))
-    if spec.family == "SL":
-        return linalg.det(F, N, mat) == 1
-    if spec.family in ("SOeven", "SOodd"):
-        if linalg.det(F, N, mat) != 1:
-            return False
-        t = linalg.transpose(N, mat)
-        return linalg.mat_mul(F, N, t, mat) == linalg.identity(N)
-    # Sp: x^T O x = O
-    om = omega_enc(F, spec.n)
-    t = linalg.transpose(N, mat)
-    return linalg.mat_mul(F, N, linalg.mat_mul(F, N, t, om), mat) == om
+    return bool(members(F, [mat], spec)[0])
 
 
 def lie_is_member(F, mat, spec):
@@ -189,9 +196,6 @@ class LieElement:
         self.F = F
         self.mat = tuple(mat)
 
-    def bracket(self, other):
-        return linalg.bracket(self.F, self.spec.N, self.mat, other.mat)
-
     def ser(self):
         return linalg.mat_ser(self.F, self.spec.N, self.mat)
 
@@ -227,16 +231,17 @@ def group_order(spec, q):
 
 
 def cayley_map(spec, F, mat):
-    """lambda(x) = (Id - x)(Id + x)^{-1}; an involution, used for G != SL."""
+    """lambda(x) = (Id - x)(Id + x)^{-1}; an involution, used for G != SL.
+    The two factors commute, so this is (Id + x)^{-1}(Id - x): one solve."""
     if spec.family == "SL":
         raise FamilyNotSupported("the Cayley map is applied only for G != SL_n")
     N = spec.N
     ident = linalg.identity(N)
-    shift = linalg.mat_add(F, ident, mat)
-    if linalg.det(F, N, shift) == 0:
-        raise SingularShift("det(Id + x) = 0")
-    return linalg.mat_mul(F, N, linalg.mat_sub(F, ident, mat),
-                          linalg.inv(F, N, shift))
+    try:
+        return linalg.solve(F, N, linalg.mat_add(F, ident, mat),
+                            linalg.mat_sub(F, ident, mat))
+    except ZeroDivisionError:
+        raise SingularShift("det(Id + x) = 0") from None
 
 
 class TorusSpec:
@@ -557,8 +562,8 @@ def random_group_element(spec, F, rng):
             for k in range(0, N * N, N):
                 mat[k + j] = F.add(mat[k + j], F.mul(c, mat[k + i]))
         return tuple(mat)
-    ident = linalg.identity(N)
     while True:
-        x = random_lie_element(spec, F, rng)
-        if linalg.det(F, N, linalg.mat_add(F, ident, x)) != 0:
-            return cayley_map(spec, F, x)
+        try:
+            return cayley_map(spec, F, random_lie_element(spec, F, rng))
+        except SingularShift:
+            pass

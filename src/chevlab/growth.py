@@ -31,10 +31,10 @@ class GenSet:
             ident = linalg.identity(spec.N)
             if ident not in mats:
                 raise ValueError("generating set must contain the identity")
+            if not groups.members(F, mats, spec).all():
+                raise ValueError("set contains a non-member matrix")
             pool = set(mats)
             for m in mats:
-                if not groups.is_member(F, m, spec):
-                    raise ValueError("set contains a non-member matrix")
                 if linalg.inv(F, spec.N, m) not in pool:
                     raise ValueError("generating set must be symmetric")
         self.spec = spec

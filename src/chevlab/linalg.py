@@ -6,17 +6,19 @@ keys for BFS tables and as the serialization backbone.
 
 Every GF(q) matrix product goes through one numpy kernel, `matmul`, on int64
 arrays of encodings: a matrix over GF(p^e) enters through its regular
-representation (`_regular`), a ring map into (N e, N e) matrices over F_p, so
-each field product is an int64 matmul mod p, and F_p is the case e = 1.
-Entries stay below p, so a matmul sums < N e terms below p^2 < 2^40: no int64
-overflow for q <= 2^20.  `mul` and `lmul` multiply a whole batch by each of a
-few matrices as one tall matmul per matrix; `mat_mul` is the kernel on a
+representation (`_regular`), which sends an (L, N) matrix to an (L e, N e)
+matrix over F_p and products to products, so each field product is an int64
+matmul mod p, and F_p is the case e = 1.  Entries stay below p, so a product
+with inner dimension L sums L e terms below p^2 < 2^40: no int64 overflow for
+q <= 2^20 and L e < 2^23.  `mul` and `lmul` multiply a whole batch by each of
+a few matrices as one tall matmul per matrix; `mat_mul` is the kernel on a
 batch of one.
 
 All row reduction goes through one incremental step, `echelon_add`: `det`
-multiplies the pivot values it returns, `inv` and `nullspace` read the
-reduced echelon form that two passes of it give, and the torus rank
-certificates and the LGV path determinant call it directly or through `det`.
+multiplies the pivot values it returns, `solve` (and so `inv`) and
+`nullspace` read the reduced echelon form that two passes of it give, and the
+torus rank certificates and the LGV path determinant call it directly or
+through `det`.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ def _digits(F, a):
 
 
 def _regular(F, gens):
-    """Each (N, N) matrix over GF(p^e) of an (..., N, N) array as the
-    (N e, N e) matrix over F_p of its action on coordinate rows: entry y
+    """Each (L, N) matrix over GF(p^e) of an (..., L, N) array as the
+    (L e, N e) matrix over F_p of its action on coordinate rows: entry y
     becomes the block of x -> x*y."""
-    p, e, N = F.p, F.e, gens.shape[-1]
+    p, e = F.p, F.e
+    L, N = gens.shape[-2:]
     rows = [_digits(F, gens)]           # rows[d][..., k, j, :] = t^d * y_kj
     red = -np.array(F.modulus[:e], dtype=np.int64) % p   # t^e = sum red_i t^i
     for _ in range(e - 1):
@@ -53,15 +56,15 @@ def _regular(F, gens):
         rows.append((np.concatenate([np.zeros_like(last[..., :1]), last[..., :-1]], -1)
                      + last[..., -1:] * red) % p)
     rep = np.swapaxes(np.stack(rows, -2), -3, -2)
-    return rep.reshape(gens.shape[:-2] + (N * e, N * e))
+    return rep.reshape(gens.shape[:-2] + (L * e, N * e))
 
 
 def matmul(F, A, B):
-    """The field product A @ B of int64 arrays of encodings, (..., K, N) by
-    (..., N, N), leading axes broadcast as in np.matmul."""
+    """The field product A @ B of int64 arrays of encodings, (..., K, L) by
+    (..., L, N), leading axes broadcast as in np.matmul."""
     p, e, N = F.p, F.e, B.shape[-1]
     if e > 1:
-        A = _digits(F, A).reshape(A.shape[:-1] + (N * e,))
+        A = _digits(F, A).reshape(A.shape[:-1] + (A.shape[-1] * e,))
         B = _regular(F, B)
     out = np.matmul(A, B)
     out %= p
@@ -166,14 +169,19 @@ def det(F, n, a):
     return F.neg(d) if inversions % 2 else d
 
 
-def inv(F, n, a):
-    """Matrix inverse from the reduced echelon form of [a | I]; raises
+def solve(F, n, a, b):
+    """a^-1 b from the reduced echelon form of [a | b]; raises
     ZeroDivisionError if a is singular."""
-    reduced = _rref(F, [list(a[i * n:(i + 1) * n]) + [0] * i + [1] + [0] * (n - 1 - i)
+    reduced = _rref(F, [list(a[i * n:(i + 1) * n]) + list(b[i * n:(i + 1) * n])
                         for i in range(n)])
-    if reduced[-1][0] >= n:  # a pivot in the I half: the rows of a are dependent
+    if len(reduced) < n or reduced[-1][0] >= n:  # the rows of a are dependent
         raise ZeroDivisionError("matrix is singular")
     return tuple(x for _, row in reduced for x in row[n:])
+
+
+def inv(F, n, a):
+    """Matrix inverse: the solve against the identity."""
+    return solve(F, n, a, identity(n))
 
 
 def nullspace(F, rows, ncols):

@@ -28,6 +28,11 @@ def test_escape_bound_values():
     assert rep["exact"] <= rep["closed_form"]
 
 
+def _act(inst, g):
+    """The instance's point moved by the one flat matrix g."""
+    return inst.act(linalg.as_array(inst.F, inst.N, [g]))[0]
+
+
 def test_point_already_off_variety():
     inst, _ = _sl2_instance(7, "x1-2", (1, 0, 0, 1))
     cert = escape.escape_point(inst)
@@ -39,7 +44,7 @@ def test_escape_point_finds_short_witness():
     inst, F = _sl2_instance(7, "x1-1", (1, 0, 0, 1))
     cert = escape.escape_point(inst)
     assert 1 <= cert.k_found <= escape.escape_bound(2, 1)["exact"]
-    moved = inst.act(cert.witness)
+    moved = _act(inst, cert.witness)
     assert not inst.variety.contains(moved)
 
 
@@ -59,7 +64,7 @@ def test_conjugation_action():
     inst = escape.EscapeInstance(F, 2, gens, V, (2, 0, 0, 4), "conjugation")
     cert = escape.escape_point(inst)
     assert cert.k_found >= 1
-    assert not inst.variety.contains(inst.act(cert.witness))
+    assert not inst.variety.contains(_act(inst, cert.witness))
 
 
 def test_instance_validation():
@@ -187,7 +192,7 @@ def test_witness_searches_match_brute_force(q):
         for action in escape.ACTIONS:
             inst = escape.EscapeInstance(F, 2, gens, V, point, action)
             want = _brute_force_witness(
-                F, 2, gens, lambda g: not V.contains(inst.act(g)))
+                F, 2, gens, lambda g: not V.contains(_act(inst, g)))
             assert _as_found(lambda: escape.escape_point(inst)) == want
         P = _vanishing_at(F, terms, linalg.identity(2))
         V = varieties.VarietySpec(4, [P], 3, max(P.total_degree, 1))

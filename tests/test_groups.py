@@ -236,6 +236,62 @@ def test_random_sl_element_matches_the_transvection_product(N, q):
         assert rng.random() == ref.random()  # the same draws, in order
 
 
+def oracle_is_member(F, spec, mat):
+    """The defining equations, one scalar product at a time."""
+    N = spec.N
+    t = linalg.transpose(N, mat)
+    if spec.family == "Sp":
+        om = groups.omega_enc(F, spec.n)
+        return oracle_mat_mul(F, N, oracle_mat_mul(F, N, t, om), mat) == om
+    return linalg.det(F, N, mat) == 1 and (
+        spec.family == "SL" or oracle_mat_mul(F, N, t, mat) == linalg.identity(N))
+
+
+def oracle_cayley_element(spec, F, rng):
+    """The SO/Sp sampler as det(Id + x) != 0, then (Id - x)(Id + x)^{-1}
+    with a scalar product."""
+    N = spec.N
+    ident = linalg.identity(N)
+    while True:
+        x = groups.random_lie_element(spec, F, rng)
+        shift = linalg.mat_add(F, ident, x)
+        if linalg.det(F, N, shift) != 0:
+            return oracle_mat_mul(F, N, linalg.mat_sub(F, ident, x), linalg.inv(F, N, shift))
+
+
+CAYLEY_CASES = [("Sp", 2, 5), ("Sp", 2, 9), ("Sp", 3, 7), ("SOodd", 3, 9),
+                ("SOeven", 4, 5)]
+
+
+@pytest.mark.parametrize("family,n,q", CAYLEY_CASES)
+def test_cayley_sampler_matches_the_product_form(family, n, q):
+    spec = groups.GroupSpec(family, n)
+    F = gf.make_field(*gf.factor_prime_power(q))
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert groups.random_group_element(spec, F, rng) == \
+                oracle_cayley_element(spec, F, ref)
+        assert rng.random() == ref.random()  # the same draws, in order
+
+
+@pytest.mark.parametrize("family,n,q", CAYLEY_CASES + [("SL", 3, 9)])
+def test_batched_membership_matches_the_scalar_equations(family, n, q):
+    spec = groups.GroupSpec(family, n)
+    F = gf.make_field(*gf.factor_prime_power(q))
+    rng = random.Random(q)
+    mats = [groups.random_group_element(spec, F, rng) for _ in range(6)]
+    for m in list(mats):   # one entry moved: mostly, not always, a non-member
+        bad = list(m)
+        bad[rng.randrange(len(bad))] = rng.randrange(F.q)
+        mats.append(tuple(bad))
+    want = [oracle_is_member(F, spec, m) for m in mats]
+    assert groups.members(F, mats, spec).tolist() == want
+    assert [groups.is_member(F, m, spec) for m in mats] == want
+    assert any(want) and not all(want)
+    assert groups.members(F, [], spec).shape == (0,)
+
+
 def test_hypotheses_report_shape():
     spec = groups.GroupSpec("SL", 2)
     rep = groups.hypotheses_ok(spec, 7, "main")

@@ -1,5 +1,7 @@
+import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +141,20 @@ def test_resultant_matches_sylvester_determinant(q, data):
     assert resultant(F, a, b) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(field_and_matrix(), st.data())
+def test_solve_is_inverse_times_rhs(case, data):
+    F, n, _, a = case
+    b = tuple(data.draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n)))
+    if linalg.det(F, n, a) == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.solve(F, n, a, b)
+        with pytest.raises(ZeroDivisionError):   # [a | b] of rank < n as well
+            linalg.solve(F, n, a, (0,) * (n * n))
+    else:
+        assert linalg.solve(F, n, a, b) == oracle_mat_mul(F, n, linalg.inv(F, n, a), b)
+
+
 @st.composite
 def field_and_batches(draw):
     """(F, n, X, gens): a batch X of 0..4 flat n x n matrices and 1..3
@@ -170,3 +186,22 @@ def test_array_products_match_the_scalar_oracle(case):
         assert rows(linalg.matmul(F, A[0], G[0])) == [oracle_mat_mul(F, n, X[0], gens[0])]
         assert linalg.matmul(F, A[0][:1], G[0]).tolist() == [
             list(oracle_mat_mul(F, n, X[0], gens[0])[:n])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_FIELDS)), st.data())
+def test_rectangular_products_match_the_scalar_oracle(q, data):
+    """(M, K, L) @ (M, L, N) with independent K, L, N, the shapes of the
+    lie_bracket block product (g | b)(b ; -g)."""
+    F = PRODUCT_FIELDS[q]
+    M, K, L, N = (data.draw(st.integers(lo, 4)) for lo in (0, 1, 1, 1))
+    block = lambda r, c: data.draw(st.lists(
+        st.lists(st.lists(st.integers(0, F.q - 1), min_size=c, max_size=c),
+                 min_size=r, max_size=r), min_size=M, max_size=M))
+    A, B = block(K, L), block(L, N)
+    dot = lambda row, b, j: functools.reduce(
+        F.add, (F.mul(x, b[l][j]) for l, x in enumerate(row)), 0)
+    want = [[[dot(row, b, j) for j in range(N)] for row in a] for a, b in zip(A, B)]
+    got = linalg.matmul(F, np.array(A, dtype=np.int64).reshape(M, K, L),
+                        np.array(B, dtype=np.int64).reshape(M, L, N))
+    assert got.shape == (M, K, N) and got.tolist() == want

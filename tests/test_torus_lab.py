@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chevlab import cli, gf, groups, torus_lab
+from chevlab import cli, gf, groups, linalg, torus_lab
 from chevlab.errors import (
     BadEta,
     CompletionExhausted,
@@ -122,6 +122,24 @@ def test_exhausted_restarts_are_a_cap_error(monkeypatch):
         torus_lab.rank_certificate(t, gf.make_field(3), "lie_bracket", seed=4)
     assert cli.run(["torus-cert", "--group", "SOodd", "--n", "3", "--q", "3",
                     "--eta", "1,0,1", "--seed", "4"]) == 3
+
+
+@pytest.mark.parametrize("family,n,q,eta", [
+    ("Sp", 2, 9, (0, 1)), ("Sp", 2, 25, (1, 2)), ("SOodd", 3, 9, (1, 0, 1))])
+def test_lie_bracket_rows_over_extension_fields(family, n, q, eta):
+    """The block-product brackets equal linalg.bracket over GF(p^e), and the
+    lie_bracket certificate goes through end to end."""
+    spec = groups.GroupSpec(family, n)
+    F = gf.make_field(*gf.factor_prime_power(q))
+    t = groups.TorusSpec(spec, eta)
+    basis = groups.canonical_torus_lie_basis(t, F)
+    rng = random.Random(q)
+    for _ in range(5):
+        g = groups.random_lie_element(spec, F, rng)
+        assert torus_lab._image_rows(basis, g, F, spec.N, "lie_bracket") == [
+            list(linalg.bracket(F, spec.N, g, b.mat)) for b in basis]
+    assert cli.run(["torus-cert", "--group", family, "--n", str(n), "--q", str(q),
+                    "--eta", ",".join(map(str, eta))]) == 0
 
 
 def test_reconstruction_identities():
