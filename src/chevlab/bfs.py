@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BallCapExceeded
-from .linalg import as_array, inv, matmul, mul
+from .linalg import as_array, identity, invert, matmul, mul
 
 
 class Ball:
@@ -75,6 +75,17 @@ def keys_of(F, N, mats):
     return np.unique(pack(F, N, as_array(F, N, mats)))
 
 
+def symmetry_fault(F, N, mats):
+    """Why a list of flat invertible matrices is not a symmetric set holding
+    the identity, or None if it is one: symmetric means that its sorted
+    distinct keys equal those of its inverses."""
+    if identity(N) not in mats:
+        return "must contain the identity"
+    X = as_array(F, N, mats)
+    if not np.array_equal(keys_of(F, N, X), keys_of(F, N, invert(F, X))):
+        return "must be symmetric"
+
+
 def _step(F, N, prods, visited):
     """The products not yet visited, first occurrence first, and the visited
     keys with theirs merged in."""
@@ -126,7 +137,7 @@ def orbit_closure(F, N, gens, start, cap=10 ** 7):
     """Orbit of `start` under conjugation x -> g x g^-1 by the generators,
     as the sorted array of its keys."""
     garr = as_array(F, N, gens)
-    giarr = as_array(F, N, [inv(F, N, tuple(g)) for g in gens])
+    giarr = invert(F, garr)
     frontier = as_array(F, N, start)
     visited = pack(F, N, frontier)
     while len(frontier):

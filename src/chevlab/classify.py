@@ -5,16 +5,12 @@ non-regular-semisimple subtorus catalogue.
 Polynomials are coefficient lists of encodings, low degree first.  One numpy
 kernel, `charpoly_disc`, maps an (M, N, N) batch of matrices (a single one is
 a batch of one) to char polys and discriminants with ring operations only:
-  * a matrix over GF(p^e) enters through its regular representation
-    (`linalg._regular`), a ring map into (N e, N e) matrices over F_p, so every
-    field product is an int64 matmul mod p, and F_p is the case e = 1;
-  * Berkowitz's division-free algorithm gives det(x Id - A);
+  * `linalg._berkowitz` gives det(x Id - A) from the regular representation
+    of A (`linalg._regular`), so every field product is an int64 matmul mod p;
   * disc f = (-1)^(N(N-1)/2) det Syl(f, f'), the Sylvester matrix of f and
     f' at formal degree N-1, whose determinant is -1 times the constant
     coefficient of its own Berkowitz char poly (it has odd size 2N-1).
-Entries stay below p, so a matmul sums < 2N e terms below p^2 < 2^40: no
-int64 overflow for q <= 2^20.  Rows run in slabs of _BLOCK, so memory does
-not grow with M.
+Rows run in slabs of `linalg._BLOCK`, so memory does not grow with M.
 """
 
 from __future__ import annotations
@@ -25,9 +21,6 @@ import numpy as np
 
 from . import bfs, linalg
 from .errors import InvariantViolation, TheoremViolation
-
-_BLOCK = 4096  # kernel rows per slab
-
 
 # --- polynomial helpers over a FieldSpec ---
 
@@ -65,37 +58,6 @@ def poly_deriv(F, a):
 
 # --- the char-poly and discriminant kernel ---
 
-def _berkowitz(F, A):
-    """det(x Id - A) for an (M, n e, n e) batch of regular representations,
-    as the (M, n + 1, e, e) blocks of its coefficients, high degree first.
-
-    Step k borders the leading k x k block B by column c, row r and corner a;
-    the polynomial so far is multiplied by the lower-triangular Toeplitz
-    matrix whose first column is (1, -a, -r c, -r B c, ..., -r B^(k-1) c)."""
-    p, e = F.p, F.e
-    M, n = len(A), A.shape[1] // e
-    poly = one = np.broadcast_to(np.eye(e, dtype=np.int64), (M, e, e))
-    for k in range(n):
-        b, lead = slice(k * e, (k + 1) * e), slice(0, k * e)
-        col = [one, -A[:, b, b] % p]
-        if k:
-            krylov = [A[:, lead, b]]
-            for _ in range(k - 1):
-                krylov.append(A[:, lead, lead] @ krylov[-1] % p)
-            col += np.split(-(A[:, b, lead] @ np.concatenate(krylov, axis=2)) % p,
-                            k, axis=2)
-        gap = np.arange(k + 2)[:, None] - np.arange(k + 1)
-        T = np.stack(col, axis=1)[:, gap.clip(0)] * (gap >= 0)[:, :, None, None]
-        poly = T.swapaxes(2, 3).reshape(M, (k + 2) * e, (k + 1) * e) @ poly % p
-    return poly.reshape(M, n + 1, e, e)
-
-
-def _encode(F, blocks):
-    """Field encodings of regular-representation blocks: row 0 of the block
-    of y holds the F_p coordinates of y."""
-    return blocks[..., 0, :] @ F.p ** np.arange(F.e)
-
-
 def charpoly_disc(F, X):
     """Char polys and discriminants of an (M, N, N) int64 batch of field
     encodings: (M, N + 1) coefficients, low degree first, and (M,) discs."""
@@ -111,13 +73,13 @@ def charpoly_disc(F, X):
         pick[N - 1 + i, i:i + N] = np.arange(N + 1, 2 * N + 1)
     deriv = (np.arange(N, 0, -1) % p)[:, None, None]
     coeffs, discs = [np.zeros((0, N + 1), np.int64)], [np.zeros(0, np.int64)]
-    for start in range(0, M, _BLOCK):
-        f = _berkowitz(F, linalg._regular(F, X[start:start + _BLOCK]))
+    for start in range(0, M, linalg._BLOCK):
+        f = linalg._berkowitz(F, linalg._regular(F, X[start:start + linalg._BLOCK]))
         pool = np.concatenate([f, f[:, :-1] * deriv % p, np.zeros_like(f[:, :1])], 1)
         syl = pool[:, pick].swapaxes(2, 3).reshape(len(f), n2 * e, n2 * e)
-        c0 = _berkowitz(F, syl)[:, -1]
-        coeffs.append(_encode(F, f[:, ::-1]))
-        discs.append(_encode(F, c0 if N * (N - 1) // 2 % 2 else -c0 % p))
+        c0 = linalg._berkowitz(F, syl)[:, -1]
+        coeffs.append(linalg._encode(F, f[:, ::-1]))
+        discs.append(linalg._encode(F, c0 if N * (N - 1) // 2 % 2 else -c0 % p))
     return np.concatenate(coeffs), np.concatenate(discs)
 
 
@@ -129,8 +91,8 @@ def nonrs_mask(F, X):
 def char_poly(F, N, mat):
     """Monic char poly det(x Id - mat), coefficients low degree first: the
     kernel's Berkowitz stage on a batch of one."""
-    blocks = _berkowitz(F, linalg._regular(F, linalg.as_array(F, N, mat)))
-    return tuple(_encode(F, blocks[0, ::-1]).tolist())
+    blocks = linalg._berkowitz(F, linalg._regular(F, linalg.as_array(F, N, mat)))
+    return tuple(linalg._encode(F, blocks[0, ::-1]).tolist())
 
 
 # monic characteristic polynomial (low degree first) with its discriminant

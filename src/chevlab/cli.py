@@ -2,8 +2,8 @@
 
 Every subcommand builds a plain-dict report and emits it as canonical JSON:
 sorted keys, compact separators, floats rendered as 12-significant-digit
-decimal strings, one trailing newline.  The growth subcommand can emit CSV
-instead.  Exit codes: 0 ok, 2 usage or input error, 3 a cap was exceeded,
+decimal strings, one trailing newline.  A growth series or target count can
+be CSV instead, a str that `emit` writes as it is; a --check report cannot.  Exit codes: 0 ok, 2 usage or input error, 3 a cap was exceeded,
 4 a hypothesis/precondition fails, 5 a checked mathematical statement failed.
 
 No environment variable is read, so identical argv (and variety files) give
@@ -36,46 +36,33 @@ from .errors import ArtifactError, CapError, HypothesisError, TheoremError
 from .logscaled import LogScaled, _decimal
 
 
-def _sanitize(x):
-    if isinstance(x, LogScaled):
-        return _sanitize(x.to_json())
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, float):
-        return "{:.12g}".format(x)
-    if isinstance(x, dict):
-        return {str(k): _sanitize(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(x, (list, tuple)):
-        return [_sanitize(v) for v in x]
-    if isinstance(x, (int, str)) or x is None:
-        return x
-    return repr(x)
-
-
-def emit(report, fmt="json"):
-    """Render a report to canonical bytes."""
-    if fmt == "csv":
-        text = report if isinstance(report, str) else str(report)
-        if not text.endswith("\n"):
-            text += "\n"
-        return text.encode()
-    return (_json(_sanitize(report)) + "\n").encode()
+def emit(report):
+    """Render a report to canonical bytes: a str (CSV) as itself, ending in a
+    newline, anything else as canonical JSON."""
+    if isinstance(report, str):
+        return (report if report.endswith("\n") else report + "\n").encode()
+    return (_json(report) + "\n").encode()
 
 
 def _json(x):
-    """Compact JSON with sorted keys.  Integers stay JSON numbers at any size:
-    their digits come from logscaled._decimal, because json.dumps, like str(),
-    refuses integers past 4,300 digits."""
+    """Compact JSON with keys sorted as strings; floats, Fractions and other
+    objects become strings, floats to 12 significant digits.  Integers stay
+    JSON numbers at any size: their digits come from logscaled._decimal,
+    because json.dumps, like str(), refuses integers past 4,300 digits."""
+    if isinstance(x, LogScaled):
+        return _json(x.to_json())
     if isinstance(x, dict):
-        return "{" + ",".join(json.dumps(k) + ":" + _json(v)
-                              for k, v in sorted(x.items())) + "}"
-    if isinstance(x, list):
+        items = sorted((str(k), v) for k, v in x.items())
+        return "{" + ",".join(json.dumps(k) + ":" + _json(v) for k, v in items) + "}"
+    if isinstance(x, (list, tuple)):
         return "[" + ",".join(map(_json, x)) + "]"
-    if isinstance(x, int) and not isinstance(x, bool):
+    if isinstance(x, (bool, str)) or x is None:
+        return json.dumps(x)
+    if isinstance(x, int):
         return "-" * (x < 0) + _decimal(abs(x))
-    return json.dumps(x)
+    if isinstance(x, float):
+        return json.dumps("{:.12g}".format(x))
+    return json.dumps(str(x) if isinstance(x, Fraction) else repr(x))
 
 
 def _field(q):
@@ -173,6 +160,8 @@ def _cmd_diameter(args):
 
 
 def _cmd_growth(args):
+    if args.check and args.format == "csv":
+        raise ValueError("--check reports are JSON only; drop --format csv")
     spec = _spec(args)
     F = _field(args.q)
     A = _genset(args, spec, F)
@@ -395,7 +384,6 @@ def run(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
-    fmt = getattr(args, "format", "json")
     try:
         report = args.func(args)
     except CapError as exc:
@@ -410,7 +398,7 @@ def run(argv=None):
     except (ArtifactError, ValueError) as exc:
         sys.stderr.write("error: {}\n".format(exc))
         return 2
-    sys.stdout.buffer.write(emit(report, fmt))
+    sys.stdout.buffer.write(emit(report))
     sys.stdout.flush()
     if args.command == "verify" and not report["pass"]:
         return 1

@@ -46,13 +46,8 @@ class EscapeInstance:
         if action not in ACTIONS:
             raise ValueError("unknown action {!r}".format(action))
         gens = [tuple(g) for g in generators]
-        ident = linalg.identity(N)
-        if ident not in gens:
-            raise ValueError("generator set must contain the identity")
-        genset = set(gens)
-        for g in gens:
-            if linalg.inv(F, N, g) not in genset:
-                raise ValueError("generator set must be symmetric")
+        if fault := bfs.symmetry_fault(F, N, gens):
+            raise ValueError("generator set " + fault)
         point = tuple(point)
         if len(point) != variety.ambient:
             raise ShapeMismatch("point length != variety ambient")
@@ -73,8 +68,7 @@ class EscapeInstance:
         if self.action == "conjugation" or m == N * N:
             out = linalg.lmul(F, G, linalg.as_array(F, N, self.point))[:, 0]
             if self.action == "conjugation":
-                out = linalg.matmul(F, out, linalg.as_array(
-                    F, N, [linalg.inv(F, N, h) for h in G.reshape(-1, N * N).tolist()]))
+                out = linalg.matmul(F, out, linalg.invert(F, G))
         elif m == N:
             out = linalg.lmul(F, G, np.array(self.point, dtype=np.int64)[:, None])
         else:

@@ -111,20 +111,21 @@ def omega_enc(F, n):
 
 def members(F, mats, spec):
     """Exact check of the family's defining equations for each flat matrix
-    in `mats`, as a bool array; SO and Sp test x^T x = Id or x^T O x = O
-    on the whole list with batched products."""
+    in `mats`, as a bool array, on the whole list at once: det = (-1)^N c_0
+    from the Berkowitz char poly, and x^T x = Id or x^T O x = O for SO and Sp."""
     N = spec.N
     if any(len(m) != N * N for m in mats):
         raise ShapeMismatch("expected a flat {0}x{0} matrix".format(N))
+    X = linalg.as_array(F, N, mats)
     if spec.family != "Sp":
-        ok = np.array([linalg.det(F, N, m) == 1 for m in mats], dtype=bool)
+        c0 = linalg._berkowitz(F, linalg._regular(F, X))[:, N]
+        ok = linalg._encode(F, c0 if N % 2 == 0 else -c0 % F.p) == 1
         if spec.family == "SL":
             return ok
         form = linalg.as_array(F, N, linalg.identity(N))[0]
     else:
         ok = np.ones(len(mats), dtype=bool)
         form = linalg.as_array(F, N, omega_enc(F, spec.n))[0]
-    X = linalg.as_array(F, N, mats)
     lhs = linalg.matmul(F, linalg.matmul(F, np.swapaxes(X, -1, -2), form), X)
     return ok & (lhs == form).all(axis=(-1, -2))
 
@@ -167,11 +168,6 @@ class GroupElement:
         self.spec = spec
         self.F = F
         self.mat = tuple(mat)
-
-    def __mul__(self, other):
-        return GroupElement(self.spec, self.F,
-                            linalg.mat_mul(self.F, self.spec.N, self.mat, other.mat),
-                            check=False)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.mat == other.mat \
@@ -232,16 +228,16 @@ def group_order(spec, q):
 
 def cayley_map(spec, F, mat):
     """lambda(x) = (Id - x)(Id + x)^{-1}; an involution, used for G != SL.
-    The two factors commute, so this is (Id + x)^{-1}(Id - x): one solve."""
+    The two factors commute, so this is (Id + x)^{-1}(Id - x)."""
     if spec.family == "SL":
         raise FamilyNotSupported("the Cayley map is applied only for G != SL_n")
     N = spec.N
     ident = linalg.identity(N)
     try:
-        return linalg.solve(F, N, linalg.mat_add(F, ident, mat),
-                            linalg.mat_sub(F, ident, mat))
+        shift = linalg.inv(F, N, linalg.mat_add(F, ident, mat))
     except ZeroDivisionError:
         raise SingularShift("det(Id + x) = 0") from None
+    return linalg.mat_mul(F, N, shift, linalg.mat_sub(F, ident, mat))
 
 
 class TorusSpec:

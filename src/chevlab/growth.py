@@ -28,15 +28,10 @@ class GenSet:
     def __init__(self, spec, F, mats, check=True):
         mats = [tuple(m) for m in mats]
         if check:
-            ident = linalg.identity(spec.N)
-            if ident not in mats:
-                raise ValueError("generating set must contain the identity")
             if not groups.members(F, mats, spec).all():
                 raise ValueError("set contains a non-member matrix")
-            pool = set(mats)
-            for m in mats:
-                if linalg.inv(F, spec.N, m) not in pool:
-                    raise ValueError("generating set must be symmetric")
+            if fault := bfs.symmetry_fault(F, spec.N, mats):
+                raise ValueError("generating set " + fault)
         self.spec = spec
         self.F = F
         self.mats = mats
@@ -73,7 +68,8 @@ class GenSet:
     def random_symmetric(spec, F, s, rng):
         """Sample s elements, close under inverse, add identity."""
         mats = [groups.random_group_element(spec, F, rng) for _ in range(s)]
-        pool = set(mats) | {linalg.inv(F, spec.N, m) for m in mats}
+        inverses = linalg.invert(F, linalg.as_array(F, spec.N, mats))
+        pool = set(mats) | set(map(tuple, inverses.reshape(-1, spec.N ** 2).tolist()))
         return GenSet(spec, F, _identity_first(spec, pool))
 
 

@@ -14,11 +14,15 @@ q <= 2^20 and L e < 2^23.  `mul` and `lmul` multiply a whole batch by each of
 a few matrices as one tall matmul per matrix; `mat_mul` is the kernel on a
 batch of one.
 
+Char polys of a batch come from Berkowitz's division-free algorithm on the
+regular representation (`_berkowitz`), in slabs of _BLOCK matrices: `classify`
+and `groups.members` read it, `invert` takes its coefficients to inverses by
+Cayley-Hamilton, and `inv` is `invert` on a batch of one.
+
 All row reduction goes through one incremental step, `echelon_add`: `det`
-multiplies the pivot values it returns, `solve` (and so `inv`) and
-`nullspace` read the reduced echelon form that two passes of it give, and the
-torus rank certificates and the LGV path determinant call it directly or
-through `det`.
+multiplies the pivot values it returns, `nullspace` reads the reduced echelon
+form that two passes of it give, and the torus rank certificates and the LGV
+path determinant call it directly or through `det`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
+
+_BLOCK = 4096  # kernel rows per slab
 
 
 def identity(n):
@@ -70,6 +76,63 @@ def matmul(F, A, B):
     out %= p
     if e > 1:
         out = out.reshape(out.shape[:-1] + (N, e)) @ p ** np.arange(e)
+    return out
+
+
+def _berkowitz(F, A):
+    """det(x Id - A) for an (M, n e, n e) batch of regular representations,
+    as the (M, n + 1, e, e) blocks of its coefficients, high degree first.
+
+    Step k borders the leading k x k block B by column c, row r and corner a;
+    the polynomial so far is multiplied by the lower-triangular Toeplitz
+    matrix whose first column is (1, -a, -r c, -r B c, ..., -r B^(k-1) c)."""
+    p, e = F.p, F.e
+    M, n = len(A), A.shape[1] // e
+    poly = one = np.broadcast_to(np.eye(e, dtype=np.int64), (M, e, e))
+    for k in range(n):
+        b, lead = slice(k * e, (k + 1) * e), slice(0, k * e)
+        col = [one, -A[:, b, b] % p]
+        if k:
+            krylov = [A[:, lead, b]]
+            for _ in range(k - 1):
+                krylov.append(A[:, lead, lead] @ krylov[-1] % p)
+            col += np.split(-(A[:, b, lead] @ np.concatenate(krylov, axis=2)) % p,
+                            k, axis=2)
+        gap = np.arange(k + 2)[:, None] - np.arange(k + 1)
+        T = np.stack(col, axis=1)[:, gap.clip(0)] * (gap >= 0)[:, :, None, None]
+        poly = T.swapaxes(2, 3).reshape(M, (k + 2) * e, (k + 1) * e) @ poly % p
+    return poly.reshape(M, n + 1, e, e)
+
+
+def _encode(F, blocks):
+    """Field encodings of regular-representation blocks: row 0 of the block
+    of y holds the F_p coordinates of y."""
+    return blocks[..., 0, :] @ F.p ** np.arange(F.e)
+
+
+def invert(F, X):
+    """The inverses of an (M, N, N) int64 batch of encodings, by
+    Cayley-Hamilton: for det(x Id - X) = x^N + c_(N-1) x^(N-1) + ... + c_0,
+    X^-1 = -c_0^-1 (X^(N-1) + c_(N-1) X^(N-2) + ... + c_1 Id), the sum by
+    Horner's rule on the regular representation.  Raises ZeroDivisionError if
+    any matrix is singular (c_0 = 0)."""
+    p, e, N = F.p, F.e, X.shape[-1]
+    eye = np.eye(N, dtype=np.int64)
+    out = np.empty_like(X)
+    for start in range(0, len(X), _BLOCK):
+        R = _regular(F, X[start:start + _BLOCK])
+        c = _berkowitz(F, R)                  # c[:, k] is the block of c_(N-k)
+        c0 = _encode(F, c[:, N])
+        if not c0.all():
+            raise ZeroDivisionError("matrix is singular")
+        scalar = c[:, :, None, :, None] * eye[:, None, :, None]   # c_k Id, as blocks
+        P = np.broadcast_to(np.eye(N * e, dtype=np.int64), R.shape)
+        for k in range(1, N):
+            P = (R @ P + scalar[:, k].reshape(R.shape)) % p
+        P = _encode(F, P.reshape(-1, N, e, N, e).swapaxes(2, 3))
+        vals, where = np.unique(c0, return_inverse=True)
+        scale = np.array([F.neg(F.inv(x)) for x in vals.tolist()], np.int64)[where]
+        out[start:start + _BLOCK] = matmul(F, eye * scale[:, None, None], P)
     return out
 
 
@@ -169,19 +232,9 @@ def det(F, n, a):
     return F.neg(d) if inversions % 2 else d
 
 
-def solve(F, n, a, b):
-    """a^-1 b from the reduced echelon form of [a | b]; raises
-    ZeroDivisionError if a is singular."""
-    reduced = _rref(F, [list(a[i * n:(i + 1) * n]) + list(b[i * n:(i + 1) * n])
-                        for i in range(n)])
-    if len(reduced) < n or reduced[-1][0] >= n:  # the rows of a are dependent
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(x for _, row in reduced for x in row[n:])
-
-
 def inv(F, n, a):
-    """Matrix inverse: the solve against the identity."""
-    return solve(F, n, a, identity(n))
+    """Matrix inverse: `invert` on a batch of one."""
+    return tuple(invert(F, as_array(F, n, a)).ravel().tolist())
 
 
 def nullspace(F, rows, ncols):

@@ -171,8 +171,7 @@ def _image_rows(t_basis, g, F, N, mode):
                    for x in (G, linalg.as_array(F, N, linalg.mat_neg(F, g))))
         rows = linalg.matmul(F, np.concatenate([G, B], -1), np.concatenate([B, negG], -2))
     else:
-        Gi = linalg.as_array(F, N, linalg.inv(F, N, g))
-        rows = linalg.mul(F, linalg.lmul(F, G, B)[0], Gi)[0]
+        rows = linalg.mul(F, linalg.lmul(F, G, B)[0], linalg.invert(F, G))[0]
     return rows.reshape(len(B), N * N).tolist()
 
 

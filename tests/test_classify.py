@@ -178,9 +178,9 @@ def test_kernel_edge_batches():
     # slabs: a batch longer than one block equals its rows run one by one
     F9 = FIELDS[9]
     rng = np.random.default_rng(4)
-    X = rng.integers(0, 9, (classify._BLOCK + 5, 3, 3))
+    X = rng.integers(0, 9, (linalg._BLOCK + 5, 3, 3))
     coeffs, discs = classify.charpoly_disc(F9, X)
-    for i in (0, classify._BLOCK - 1, classify._BLOCK, len(X) - 1):
+    for i in (0, linalg._BLOCK - 1, linalg._BLOCK, len(X) - 1):
         c, d = classify.charpoly_disc(F9, X[i:i + 1])
         assert coeffs[i].tolist() == c[0].tolist() and discs[i] == d[0]
 

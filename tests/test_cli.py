@@ -1,6 +1,7 @@
 import decimal
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -151,6 +152,7 @@ _SL27 = ["--group", "SL", "--n", "2", "--q", "7"]
     ["growth"] + _SL27 + ["--target", "torus:5"],
     ["growth"] + _SL27 + ["--gens", "random", "--size", "-1"],
     ["escape"] + _SL27 + ["--variety", "ambient=4dim=2", "--point", "1,0,0,1"],
+    ["growth"] + _SL27 + ["--check", "olson", "--format", "csv"],
 ])
 def test_malformed_input_is_usage_error(argv, capsys):
     assert cli.run(argv) == 2
@@ -166,14 +168,14 @@ def test_malformed_variety_header_is_named(capsys):
     assert "malformed variety header 'ambient=4dim=2'" in capsys.readouterr().err
 
 
-# stdout bytes and exit codes of every subcommand, captured before the batched
-# char-poly kernel replaced the per-element path; they must not move
+# pinned stdout bytes and exit codes of every subcommand; argv is split as a
+# shell would split it, so a variety may be quoted
 _BYTES = json.loads((pathlib.Path(__file__).parent / "cli_bytes.json").read_text())
 
 
 @pytest.mark.parametrize("row", _BYTES, ids=[row["argv"] for row in _BYTES])
 def test_report_bytes_are_pinned(row, capsys):
-    code, out = _run(row["argv"].split(), capsys)
+    code, out = _run(shlex.split(row["argv"]), capsys)
     assert (code, out) == (row["exit"], row["stdout"])
 
 

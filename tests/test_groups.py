@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from test_linalg import oracle_mat_mul
+from test_linalg import oracle_inv, oracle_mat_mul
 
 from chevlab import bfs, gf, groups, linalg
 from chevlab.errors import (
@@ -85,9 +85,9 @@ def test_group_element_arithmetic():
     F = gf.make_field(7)
     a = groups.GroupElement(spec, F, (1, 1, 0, 1))
     b = groups.GroupElement(spec, F, (1, 0, 1, 1))
-    ab = a * b
-    assert groups.is_member(F, ab.mat, spec)
-    assert (a * groups.GroupElement(spec, F, linalg.inv(F, 2, a.mat))).mat == linalg.identity(2)
+    assert groups.is_member(F, linalg.mat_mul(F, 2, a.mat, b.mat), spec)
+    a_inv = groups.GroupElement(spec, F, linalg.inv(F, 2, a.mat))
+    assert linalg.mat_mul(F, 2, a.mat, a_inv.mat) == linalg.identity(2)
     with pytest.raises(ShapeMismatch):
         groups.GroupElement(spec, F, (1, 0, 0))
 
@@ -192,7 +192,7 @@ def oracle_torus_conjugate_count(spec, F, universe):
     N = spec.N
     count = 0
     for g in universe:
-        gi = linalg.inv(F, N, g)
+        gi = oracle_inv(F, N, g)
         if all(oracle_mat_mul(F, N, oracle_mat_mul(F, N, g, t), gi) in torus for t in torus):
             count += 1
     return len(universe) // count
@@ -256,7 +256,7 @@ def oracle_cayley_element(spec, F, rng):
         x = groups.random_lie_element(spec, F, rng)
         shift = linalg.mat_add(F, ident, x)
         if linalg.det(F, N, shift) != 0:
-            return oracle_mat_mul(F, N, linalg.mat_sub(F, ident, x), linalg.inv(F, N, shift))
+            return oracle_mat_mul(F, N, linalg.mat_sub(F, ident, x), oracle_inv(F, N, shift))
 
 
 CAYLEY_CASES = [("Sp", 2, 5), ("Sp", 2, 9), ("Sp", 3, 7), ("SOodd", 3, 9),
@@ -285,6 +285,12 @@ def test_batched_membership_matches_the_scalar_equations(family, n, q):
         bad = list(m)
         bad[rng.randrange(len(bad))] = rng.randrange(F.q)
         mats.append(tuple(bad))
+    if family.startswith("SO"):   # a reflection: x^T x = Id but det -1
+        refl = tuple(F.neg(1) if i == 0 else int(i % (spec.N + 1) == 0)
+                     for i in range(spec.N ** 2))
+        assert oracle_mat_mul(F, spec.N, refl, refl) == linalg.identity(spec.N)
+        assert not groups.members(F, [refl], spec)[0]
+        mats.append(refl)
     want = [oracle_is_member(F, spec, m) for m in mats]
     assert groups.members(F, mats, spec).tolist() == want
     assert [groups.is_member(F, m, spec) for m in mats] == want

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chevlab import gf, groups, growth
+from chevlab import escape, gf, groups, growth, linalg, varieties
 from chevlab.errors import (
     BadCharacteristic,
     HypothesisFailed,
@@ -37,6 +37,26 @@ def test_genset_random_symmetric_invariants():
         assert linalg.identity(2) in mats
         for m in mats:
             assert linalg.inv(F, 2, m) in mats
+
+
+@pytest.mark.parametrize("family,n,q", [("SL", 2, 7), ("SL", 2, 9), ("SOodd", 3, 7)])
+def test_gensets_and_escape_instances_reject_asymmetric_sets(family, n, q):
+    # SO(7, 7) packs its keys as np.void: 7^49 >= 2^63
+    spec = groups.GroupSpec(family, n)
+    F = gf.make_field(*gf.factor_prime_power(q))
+    N, ident = spec.N, linalg.identity(spec.N)
+    g = groups.random_group_element(spec, F, random.Random(3))
+    V = varieties.VarietySpec(N * N, [varieties.poly_parse(F, N * N, "x1")], 2, 1)
+    cases = [([ident, g], "must be symmetric"),
+             ([g, linalg.inv(F, N, g)], "must contain the identity")]
+    for mats, fault in cases:
+        with pytest.raises(ValueError, match="generating set " + fault):
+            growth.GenSet(spec, F, mats)
+        with pytest.raises(ValueError, match="generator set " + fault):
+            escape.EscapeInstance(F, N, mats, V, ident, "conjugation")
+    mats = [ident, g, linalg.inv(F, N, g)]
+    assert growth.GenSet(spec, F, mats).mats == mats
+    escape.EscapeInstance(F, N, mats, V, ident, "conjugation")
 
 
 def test_ball_series_sl2_f5():

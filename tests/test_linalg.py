@@ -26,6 +26,16 @@ def oracle_mat_mul(F, n, a, b):
     return tuple(out)
 
 
+def oracle_inv(F, n, a):
+    """Gauss-Jordan on [a | Id]: the scalar oracle for linalg.invert and inv.
+    Raises ZeroDivisionError if a is singular."""
+    reduced = linalg._rref(F, [list(a[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)]
+                               for i in range(n)])
+    if len(reduced) < n or reduced[-1][0] >= n:  # the rows of a are dependent
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(x for _, row in reduced for x in row[n:])
+
+
 @st.composite
 def field_and_matrix(draw, max_n=4, square=True):
     """(F, nrows, ncols, flat entries) with small shapes."""
@@ -141,18 +151,43 @@ def test_resultant_matches_sylvester_determinant(q, data):
     assert resultant(F, a, b) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(field_and_matrix(), st.data())
-def test_solve_is_inverse_times_rhs(case, data):
-    F, n, _, a = case
-    b = tuple(data.draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n)))
-    if linalg.det(F, n, a) == 0:
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_FIELDS)), st.integers(2, 4), st.data())
+def test_invert_matches_the_gauss_jordan_oracle(q, n, data):
+    F = PRODUCT_FIELDS[q]
+    mats = data.draw(st.lists(st.lists(st.integers(0, F.q - 1), min_size=n * n,
+                                       max_size=n * n).map(tuple), max_size=6))
+    want = []
+    for a in mats:
+        try:
+            want.append(oracle_inv(F, n, a))
+        except ZeroDivisionError:
+            want.append(None)
+            with pytest.raises(ZeroDivisionError):
+                linalg.inv(F, n, a)
+        else:
+            assert linalg.inv(F, n, a) == want[-1]
+    regular = [a for a, w in zip(mats, want) if w is not None]
+    got = linalg.invert(F, linalg.as_array(F, n, regular)).reshape(-1, n * n).tolist()
+    assert list(map(tuple, got)) == [w for w in want if w is not None]
+    if None in want:   # one singular matrix fails the whole batch
         with pytest.raises(ZeroDivisionError):
-            linalg.solve(F, n, a, b)
-        with pytest.raises(ZeroDivisionError):   # [a | b] of rank < n as well
-            linalg.solve(F, n, a, (0,) * (n * n))
-    else:
-        assert linalg.solve(F, n, a, b) == oracle_mat_mul(F, n, linalg.inv(F, n, a), b)
+            linalg.invert(F, linalg.as_array(F, n, mats))
+
+
+def test_invert_runs_in_slabs(monkeypatch):
+    F = PRODUCT_FIELDS[25]
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 25, (40, 3, 3))
+    X = X[[linalg.det(F, 3, tuple(x)) != 0 for x in X.reshape(-1, 9).tolist()]]
+    whole = linalg.invert(F, X)
+    monkeypatch.setattr(linalg, "_BLOCK", 4)   # len(X) is not a multiple of 4
+    assert len(X) % 4 and (linalg.invert(F, X) == whole).all()
+    assert whole.reshape(-1, 9).tolist() == [list(oracle_inv(F, 3, tuple(x)))
+                                             for x in X.reshape(-1, 9).tolist()]
+    X[-1] = 0   # singular, in the last slab
+    with pytest.raises(ZeroDivisionError):
+        linalg.invert(F, X)
 
 
 @st.composite
