@@ -1,19 +1,18 @@
 """Layered breadth-first closure engine for matrix groups over GF(q).
 
 One engine serves every field.  Matrices are int64 arrays of field encodings
-(see gf.py), and one layer step, shared by `closure` and `orbit_closure`:
-  * forms the layer's products with one batched field product
-    (`linalg.mul`);
-  * packs each N x N matrix into one sortable key (`pack`): the base-q
-    integer of its entries when q^(N*N) < 2^63, else a fixed-width np.void
-    view of its bytes;
-  * sorts the keys to drop repeats, keeping each key's first occurrence,
-    tests the rest against the sorted visited keys with np.searchsorted, and
-    merges the new keys into them.
-
-Kept rows stay in first-occurrence order, which is generator-major then
-frontier order, fixed by the input generator list, so element order, depths
-and ball series are schedule-independent.
+(see gf.py), held as N row codes each: a row's base-q integer, or an np.void
+of its bytes when q^N >= 2^63.  A matrix key (`pack`) is the base-q^N integer
+of its row codes, or an np.void of their bytes when q^(N*N) >= 2^63.  Row i
+of X g depends only on row i of X, so a layer step of `closure` maps the
+frontier's distinct rows by every generator in one `linalg.mul` call, keys
+each product from that table one generator at a time, keeps first
+occurrences (`_unique`: one np.sort of key << b | index when that fits in 63
+bits), drops visited keys (np.searchsorted) and gathers the row codes of the
+rest.  `orbit_closure` conjugates whole matrices (left multiplication is not
+a row map).  Identity generators are dropped, as their products are the
+frontier.  Kept rows stay in first-occurrence order, generator-major then
+frontier order, so the generator list fixes element order and ball series.
 """
 
 from __future__ import annotations
@@ -25,23 +24,31 @@ from .linalg import as_array, identity, invert, matmul, mul
 
 
 class Ball:
-    """The result of a layered closure: elements in BFS order, layer offsets
-    and the ball series."""
+    """The result of a layered closure: its elements' row codes in BFS order,
+    layer offsets and the ball series.  Elements are decoded on each read."""
 
     def __init__(self, F, N, layers, sizes, saturated_at):
-        self.F = F
-        self.N = N
-        self.elements = np.concatenate(layers)   # (M, N, N) int64, BFS order
-        # layer t (word length t) is elements[offsets[t]:offsets[t + 1]]
+        self.F, self.N = F, N
+        self.codes = np.concatenate(layers)       # (M, N) row codes, BFS order
+        # layer t (word length t) is codes[offsets[t]:offsets[t + 1]]
         self.offsets = np.cumsum([0] + [len(x) for x in layers])
         self.sizes = sizes                        # sizes[t-1] = |A^t|
         self.saturated_at = saturated_at
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.codes)
+
+    @property
+    def elements(self):
+        """The (M, N, N) int64 elements in BFS order."""
+        return _decode(self.F, self.N, self.codes)
+
+    def keys(self):
+        """The key (`pack`) of each element, in BFS order."""
+        return _code(self.codes, self.F.q ** self.N)
 
     def layer(self, t):
-        return self.elements[self.offsets[t]:self.offsets[t + 1]]
+        return _decode(self.F, self.N, self.codes[self.offsets[t]:self.offsets[t + 1]])
 
     def size_at(self, t):
         """|A^t|, held at the last size computed for t past it."""
@@ -55,19 +62,30 @@ class Ball:
 
     def mats(self):
         """Iterate elements as flat tuples of ints in BFS order."""
-        flat = self.elements.reshape(len(self), -1)
-        for start in range(0, len(flat), 4096):
-            yield from map(tuple, flat[start:start + 4096].tolist())
+        for start in range(0, len(self), 4096):
+            flat = _decode(self.F, self.N, self.codes[start:start + 4096])
+            yield from map(tuple, flat.reshape(len(flat), -1).tolist())
+
+
+def _code(a, base):
+    """The last axis of `a` as one base-`base` int64 when it fits, else as np.void bytes."""
+    n = a.shape[-1]
+    if base ** n < 1 << 63:
+        return a @ base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, n * a.itemsize)))[..., 0]
+
+
+def _decode(F, N, codes):
+    """The (..., N) int64 rows of an (...) array of row codes."""
+    if codes.dtype == np.int64:
+        return codes[..., None] // F.q ** np.arange(N - 1, -1, -1, dtype=np.int64) % F.q
+    return codes[..., None].view(np.int64).copy()
 
 
 def pack(F, N, X):
     """One sortable key per matrix of the (M, N, N) array X."""
-    flat = X.reshape(len(X), N * N)
-    if F.q ** (N * N) < 1 << 63:
-        return flat @ F.q ** np.arange(N * N - 1, -1, -1, dtype=np.int64)
-    dt = np.dtype(np.uint8 if F.q <= 1 << 8 else np.uint16 if F.q <= 1 << 16 else np.uint32)
-    raw = np.ascontiguousarray(flat, dtype=dt)
-    return raw.view(np.dtype((np.void, N * N * dt.itemsize))).ravel()
+    return _code(_code(X.reshape(-1, N, N), F.q), F.q ** N)
 
 
 def keys_of(F, N, mats):
@@ -86,41 +104,61 @@ def symmetry_fault(F, N, mats):
         return "must be symmetric"
 
 
-def _step(F, N, prods, visited):
-    """The products not yet visited, first occurrence first, and the visited
+def _unique(keys, inverse=False):
+    """np.unique(keys, return_index=True, return_inverse=inverse).  Keys of
+    nonnegative int64 that fit in 63 bits with their index are sorted as key
+    << b | index, so equal keys come out in index order; others by argsort."""
+    n = len(keys)
+    b = max(n - 1, 0).bit_length()
+    if keys.dtype == np.int64 and n and keys.min() >= 0 and int(keys.max()) >> (63 - b) == 0:
+        keys = keys << b    # a new array: the steps below work in place to bound memory
+        keys |= np.arange(n)
+        keys.sort()
+        order = keys & ((1 << b) - 1)
+        keys >>= b
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    fresh = np.ones(n, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    if not inverse:
+        return keys[fresh], order[fresh]
+    where = np.empty(n, dtype=np.intp)
+    where[order] = np.cumsum(fresh) - 1
+    return keys[fresh], order[fresh], where
+
+
+def _step(keys, visited):
+    """The indices of unvisited keys, first occurrences only, and the visited
     keys with theirs merged in."""
-    prods = prods.reshape(-1, N, N)
-    keys = pack(F, N, prods)
-    # np.unique(return_index=True) sorts stably: three times slower than this
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    keys, first = keys[starts], np.minimum.reduceat(order, starts)
+    keys, first = _unique(keys)
     pos = np.searchsorted(visited, keys)
     new = visited[np.minimum(pos, len(visited) - 1)] != keys
-    return prods[np.sort(first[new])], np.insert(visited, pos[new], keys[new])
+    return np.sort(first[new]), np.insert(visited, pos[new], keys[new])
 
 
 def closure(F, N, gens, cap=10 ** 7, t_max=None):
-    """BFS over words in `gens` starting from the identity.
-
-    Returns a Ball whose sizes sequence is |A^1|, |A^2|, ... up to t_max or
-    saturation.  Requires the identity to be in the generated ball semantics:
-    sizes are cumulative (gens should contain the identity for |A^t| to mean
-    the t-ball of A literally).
-    """
+    """BFS over words in `gens` from the identity, up to t_max or saturation:
+    a Ball whose sizes[t-1] counts the words of length at most t, the empty
+    word included, so it is the t-ball |A^t| when gens holds the identity.
+    Raises BallCapExceeded once a layer takes the ball past cap."""
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be >= 1")
     gens = as_array(F, N, gens)
-    frontier = np.eye(N, dtype=np.int64)[None]
-    visited = pack(F, N, frontier)
+    gens = gens[~(gens == np.eye(N, dtype=np.int64)).all(axis=(1, 2))]
+    frontier = _code(np.eye(N, dtype=np.int64), F.q)[None]
+    visited = _code(frontier, F.q ** N)
     layers = [frontier]
-    sizes = []
-    saturated_at = None
+    sizes, saturated_at = [], None
     t = 0
     while True:
         t += 1
-        frontier, visited = _step(F, N, mul(F, frontier, gens), visited)
+        rows, _, inverse = _unique(frontier.ravel(), inverse=True)
+        images = _code(mul(F, _decode(F, N, rows), gens), F.q)
+        inverse = inverse.reshape(-1, N)
+        keys = np.concatenate([visited[:0]] + [_code(x[inverse], F.q ** N) for x in images])
+        keep, visited = _step(keys, visited)
+        frontier = images[(keep // len(inverse))[:, None], inverse[keep % len(inverse)]]
         sizes.append(len(visited))
         if not len(frontier):
             saturated_at = t - 1
@@ -137,12 +175,14 @@ def orbit_closure(F, N, gens, start, cap=10 ** 7):
     """Orbit of `start` under conjugation x -> g x g^-1 by the generators,
     as the sorted array of its keys."""
     garr = as_array(F, N, gens)
+    garr = garr[~(garr == np.eye(N, dtype=np.int64)).all(axis=(1, 2))]
     giarr = invert(F, garr)
     frontier = as_array(F, N, start)
     visited = pack(F, N, frontier)
     while len(frontier):
         prods = matmul(F, garr[:, None], mul(F, frontier, giarr))
-        frontier, visited = _step(F, N, prods, visited)
+        keep, visited = _step(pack(F, N, prods), visited)
+        frontier = prods.reshape(-1, N, N)[keep]
         if len(visited) > cap:
             raise BallCapExceeded("orbit exceeded cap {}".format(cap))
     return visited

@@ -237,7 +237,7 @@ def _hits(ball, keys):
     kernel tests directly."""
     if keys is None:
         return classify.nonrs_mask(ball.F, ball.elements)
-    return np.isin(bfs.pack(ball.F, ball.N, ball.elements), keys)
+    return np.isin(ball.keys(), keys)
 
 
 def intersect_count(A, t, target, cap=10 ** 7):
