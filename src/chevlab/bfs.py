@@ -17,10 +17,15 @@ frontier order, so the generator list fixes element order and ball series.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .errors import BallCapExceeded
 from .linalg import as_array, identity, invert, matmul, mul
+
+# glibc keeps freed heap blocks resident until malloc_trim hands them back
+_malloc_trim = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)
 
 
 class Ball:
@@ -168,7 +173,10 @@ def closure(F, N, gens, cap=10 ** 7, t_max=None):
             raise BallCapExceeded("closure exceeded cap {}".format(cap))
         if t_max is not None and t >= t_max:
             break
-    return Ball(F, N, layers, sizes, saturated_at)
+    ball = Ball(F, N, layers, sizes, saturated_at)
+    del layers, rows, inverse, images, keys, keep, visited
+    _malloc_trim(0)     # so that a caller's peak memory does not stack on the freed layers
+    return ball
 
 
 def orbit_closure(F, N, gens, start, cap=10 ** 7):
